@@ -43,7 +43,7 @@ class CampaignConfig:
     tree_count: int = 1
     limit_nodes: int = 50_000_000
     optima_cap: int = 10_000
-    sun_variant: str = "binomial"
+    sun_variant: str = "squared"
     out: str | None = None
     format: str = "json"
 

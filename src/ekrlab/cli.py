@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--sun-variant", default="binomial",
+    p.add_argument("--sun-variant", default="squared",
                    choices=("binomial", "squared"))
     add_limit_args(p)
     p.add_argument("--out")

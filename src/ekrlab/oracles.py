@@ -31,7 +31,7 @@ SUN_VARIANTS = ("binomial", "squared")
 
 
 def sun_bound(n: int, t: int, r: int, s: int,
-              variant: str = "binomial") -> OracleValue:
+              variant: str = "squared") -> OracleValue:
     """Maximum size of an s-intersecting family of r-vertex paths in the
     sun with n cycle vertices and t pendants per cycle vertex.
 
@@ -39,7 +39,8 @@ def sun_bound(n: int, t: int, r: int, s: int,
     collapses to unordered pairs: 'binomial' applies the binom(t,2)
     coefficient whenever r = s+2, 'squared' keeps t^2 except at r = 3
     (the one case where both pendant ends hang off the same cycle
-    vertex).  Exhaustive search backs the 'squared' reading.
+    vertex).  Exhaustive search backs the 'squared' reading, which is the
+    default; 'binomial' undercounts at r = s+2 >= 4.
     """
     if variant not in SUN_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

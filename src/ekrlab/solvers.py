@@ -7,7 +7,11 @@ Transversals use hitting-set branch and bound on a minimum uncovered
 member.  Clique searches run over a degree-descending reordering (dense
 compatibility graphs are near-trivial in that order and pathological in
 member order); default witnesses are recomputed in family order by a
-deterministic certification pass.  Everything is single-threaded in a
+deterministic certification pass.  Optima enumeration is a single pass:
+it starts from the size of a known clique and collects every maximum
+clique while its threshold rises, so the maximum s-intersecting and
+maximum non-star enumerations run no separate maximum search, and their
+witness is the least optimum.  Everything is single-threaded in a
 fixed order, so values and witnesses are reproducible; node budgets make
 partial results an explicit error state rather than a silent answer.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .families import SetFamily, best_full_star
+from .families import SetFamily, best_full_star, elems_of
 
 sys.setrecursionlimit(100_000)
 
@@ -138,14 +142,27 @@ def _translate_mask(mask: int, pos: list[int]) -> int:
 
 
 class _CliqueSearch:
-    """Branch and bound core shared by the clique-shaped operations."""
+    """Branch and bound core shared by the clique-shaped operations.
 
-    def __init__(self, adj: tuple[int, ...], budget: _Budget) -> None:
+    sets and s switch on the non-star hook of enumerate_exact: sets[i]
+    is the member at search position i, and a clique counts only when
+    its members share fewer than s elements."""
+
+    def __init__(self, adj: tuple[int, ...], budget: _Budget,
+                 sets: tuple[int, ...] | None = None, s: int = 0) -> None:
         self.adj = adj
         self.m = len(adj)
         self.budget = budget
         self.best = 0
         self.best_mask = 0
+        self.sets = sets
+        self.s = s
+        if sets is not None:
+            ground = max((m.bit_length() for m in sets), default=0)
+            self.members_of = [0] * ground
+            for i, mask in enumerate(sets):
+                for e in elems_of(mask):
+                    self.members_of[e] |= 1 << i
 
     def maximum(self, stop_at: int | None = None,
                 seed: tuple[int, int] | None = None) -> tuple[int, int, bool]:
@@ -244,39 +261,71 @@ class _CliqueSearch:
                 raise AssertionError("certification pass lost the optimum")
         return tuple(chosen)
 
-    def enumerate_exact(self, size: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-        """All cliques of exactly the given size, sorted; capped."""
-        if size == 0:
-            return [()], False
-        self._out: list[tuple[int, ...]] = []
+    def enumerate_exact(self, floor: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+        """Every maximum clique, sorted, in one pass; capped.
+
+        floor is the size of a known clique (0 when none is known).  The
+        threshold moves up as larger cliques turn up: cliques of the
+        current best size are collected, and a larger one resets the
+        list.  Once more than cap are held, only a larger clique can
+        matter, so the search prunes on <= best until one turns up.
+        With the non-star hook on, only cliques whose members share
+        fewer than s elements count.  On a budget overrun the partial
+        state stays in best and found."""
+        self.best = floor
+        self.found: list[tuple[int, ...]] = []
         self._cap = cap
         self._capped = False
-        self._size = size
-        self._enum([], (1 << self.m) - 1)
-        out = sorted(self._out[:cap])
-        return out, self._capped
+        if self.m == 0:
+            return [()], False
+        self._collect([], (1 << self.m) - 1, -1)
+        return sorted(self.found[:cap]), self._capped
 
-    def _enum(self, stack: list[int], cand: int) -> None:
-        if self._capped:
-            return
+    def _collect(self, stack: list[int], cand: int, common: int) -> None:
         adj = self.adj
+        sets = self.sets
         order, bounds = _color_order(adj, cand)
         for i in range(len(order) - 1, -1, -1):
-            if len(stack) + bounds[i] < self._size:
-                return
-            if self._capped:
+            reach = len(stack) + bounds[i]
+            if reach < self.best or (self._capped and reach == self.best):
                 return
             v = order[i]
             self.budget.spend()
             stack.append(v)
-            if len(stack) == self._size:
-                self._out.append(tuple(sorted(stack)))
-                if len(self._out) > self._cap:
-                    self._capped = True
+            nxt = cand & adj[v]
+            meet = common
+            if sets is None:
+                self._record(stack)
             else:
-                self._enum(stack, cand & adj[v])
+                meet = common & sets[v]
+                if meet.bit_count() < self.s:
+                    self._record(stack)
+                elif nxt & ~self._holders(meet) == 0:
+                    # every candidate contains the whole running
+                    # intersection, so no extension drops below s
+                    nxt = 0
+            if nxt:
+                self._collect(stack, nxt, meet)
             stack.pop()
             cand ^= 1 << v
+
+    def _record(self, stack: list[int]) -> None:
+        size = len(stack)
+        if size > self.best:
+            self.best = size
+            self.found = []
+            self._capped = False
+        if size == self.best and not self._capped:
+            self.found.append(tuple(sorted(stack)))
+            if len(self.found) > self._cap:
+                self._capped = True
+
+    def _holders(self, meet: int) -> int:
+        """Members that contain every element of meet."""
+        out = (1 << self.m) - 1
+        for e in elems_of(meet):
+            out &= self.members_of[e]
+        return out
 
 
 def _star_seed(fam: SetFamily, s: int) -> tuple[int, int] | None:
@@ -326,22 +375,19 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     rows, perm, pos = _degree_reorder(cg.adj)
     budget = _Budget(limits.node_budget)
     search = _CliqueSearch(rows, budget)
+    floor, floor_mask = search._greedy_seed()
     seed = _star_seed(fam, s)
-    if seed is not None:
-        seed = (seed[0], _translate_mask(seed[1], pos))
-    value, mask, hit = search.maximum(seed=seed)
-    partial = tuple(sorted(perm[i] for i in _mask_indices(mask)))
-    if hit:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True, value_exact=False)
+    if seed is not None and seed[0] > floor:
+        floor, floor_mask = seed[0], _translate_mask(seed[1], pos)
     try:
-        raw, capped = search.enumerate_exact(value, limits.optima_cap)
+        raw, capped = search.enumerate_exact(floor, limits.optima_cap)
     except _BudgetExceeded:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True)
+        best = search.found[0] if search.found else _mask_indices(floor_mask)
+        return SolveResult(value=search.best, witness=tuple(sorted(perm[i] for i in best)),
+                           nodes=budget.used, limits_hit=True, value_exact=False)
     optima = sorted(tuple(sorted(perm[i] for i in clique)) for clique in raw)
     witness = optima[0] if optima else ()
-    return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
+    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
                        nodes=budget.used, limits_hit=capped)
 
 
@@ -356,7 +402,10 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     is checked as the subfamily grows, and once the running intersection
     drops below s elements every extension stays feasible.  Any nonempty
     s-intersecting family of at most two members is automatically an
-    s-star, so infeasible means no subfamily qualifies at all.
+    s-star, so infeasible means no subfamily qualifies at all.  With
+    enumerate_optima the value and the optima come from one collecting
+    pass that counts non-star cliques only, so the optima cap counts
+    non-star optima.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -364,6 +413,19 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     sets = fam.sets
     budget = _Budget(limits.node_budget)
     adj = cg.adj
+    if enumerate_optima:
+        search = _CliqueSearch(adj, budget, sets=sets, s=s)
+        try:
+            optima, capped = search.enumerate_exact(0, limits.optima_cap)
+        except _BudgetExceeded:
+            witness = search.found[0] if search.found else ()
+            return SolveResult(value=search.best, witness=witness, nodes=budget.used,
+                               limits_hit=True, value_exact=False)
+        if search.best == 0:
+            return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
+        witness = optima[0] if optima else ()
+        return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
+                           nodes=budget.used, limits_hit=capped)
     ground_full = (1 << fam.ground) - 1
     state = {"best": 0, "best_stack": ()}
 
@@ -391,30 +453,9 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
         return SolveResult(value=state["best"], witness=state["best_stack"],
                            nodes=budget.used, limits_hit=True, value_exact=False)
     best = state["best"]
-    nodes = budget.used
     if best == 0:
-        return SolveResult(value=0, witness=(), nodes=nodes, infeasible=True)
-    all_optima = None
-    capped = False
-    if enumerate_optima:
-        search = _CliqueSearch(adj, budget)
-        try:
-            raw, capped = search.enumerate_exact(best, limits.optima_cap)
-        except _BudgetExceeded:
-            return SolveResult(value=best, witness=state["best_stack"],
-                               nodes=budget.used, limits_hit=True)
-        optima = []
-        for clique in raw:
-            common = ground_full
-            for i in clique:
-                common &= sets[i]
-            if common.bit_count() < s:
-                optima.append(clique)
-        all_optima = tuple(optima)
-        nodes = budget.used
-    witness = all_optima[0] if all_optima else state["best_stack"]
-    return SolveResult(value=best, witness=witness, all_optima=all_optima,
-                       nodes=nodes, limits_hit=capped)
+        return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
+    return SolveResult(value=best, witness=state["best_stack"], nodes=budget.used)
 
 
 def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveResult:

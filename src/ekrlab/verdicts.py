@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import oracles
@@ -31,7 +32,7 @@ class Verdict:
     max_star: dict
     brute_value: int
     oracle: OracleValue | None
-    is_ekr: bool
+    is_ekr: bool | None
     is_strict: bool | None
     classification: str
     witnesses: dict
@@ -89,17 +90,36 @@ def build_family(g: Graph, mode: str, size: int | None) -> SetFamily:
     raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+@lru_cache(maxsize=1)
+def _hm_table(n: int, r: int) -> tuple[dict[int, int], frozenset[int]]:
+    """Window mask -> window start, and the start masks of every
+    three-anchor family.  cover[a] holds the starts whose window contains
+    vertex a, so the windows meeting anchors a, b, c in exactly two
+    vertices are the starts covered twice but not three times."""
+    windows: dict[int, int] = {}
+    cover = [0] * n
+    for y in range(n):
+        windows[mask_of((y + d) % n for d in range(r))] = y
+        for d in range(r):
+            cover[(y + d) % n] |= 1 << y
+    families = set()
+    for a, b, c in combinations(range(n), 3):
+        ca, cb, cc = cover[a], cover[b], cover[c]
+        families.add((ca & cb | ca & cc | cb & cc) & ~(ca & cb & cc))
+    return windows, frozenset(families)
+
+
 def matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
     """Does the family equal, for some 3 cycle vertices, the set of all
     r-windows meeting them in exactly two vertices?"""
-    got = sorted(member_masks)
-    windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
-    for anchors in combinations(range(n), 3):
-        smask = mask_of(anchors)
-        expected = sorted(w for w in windows if (w & smask).bit_count() == 2)
-        if expected == got:
-            return True
-    return False
+    windows, families = _hm_table(n, r)
+    starts = 0
+    for mask in member_masks:
+        y = windows.get(mask)
+        if y is None or (starts >> y) & 1:
+            return False
+        starts |= 1 << y
+    return starts in families
 
 
 def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
@@ -135,11 +155,14 @@ def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
 
 def check_ekr(g: Graph, mode: str, size: int | None, s: int,
               limits: Limits = DEFAULT_LIMITS, enumerate_optima: bool = True,
-              sun_variant: str = "binomial") -> Verdict:
+              sun_variant: str = "squared") -> Verdict:
     """Full brute-force verdict for one instance.
 
     Star centers are searched over the s-subsets of family members only,
-    which covers every center with a nonempty full star.
+    which covers every center with a nonempty full star.  Labels that
+    need the exact value (is_ekr, construction_ok) are None when the
+    search was cut short; the classification is 'unknown' unless the
+    optima list is complete.
     """
     start = time.perf_counter()
     fam = build_family(g, mode, size)
@@ -150,12 +173,10 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
     else:
         solved = max_s_intersecting(fam, s, limits)
     limits_hit |= solved.limits_hit
-    is_ekr = solved.value == star_size
-    is_strict: bool | None
-    classification = "other"
-    if solved.limits_hit and solved.all_optima is None:
-        is_strict = None
-    elif solved.all_optima is not None:
+    is_ekr = solved.value == star_size if solved.value_exact else None
+    is_strict: bool | None = None
+    classification = "unknown"
+    if solved.all_optima is not None:
         star_flags = [
             is_s_star(SetFamily(ground=fam.ground,
                                 sets=tuple(sorted(fam.sets[i] for i in opt))), s).is_star
@@ -165,18 +186,19 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
             is_strict = False if not all(star_flags) else None
         else:
             is_strict = is_ekr and all(star_flags)
-        if all(star_flags):
-            classification = "star"
-        elif g.kind == "cycle" and mode == "uniform":
-            nonstars = [opt for opt, ok in zip(solved.all_optima, star_flags) if not ok]
-            if all(matches_hm_structure(g.meta["n"], size,
-                                        [fam.sets[i] for i in opt])
-                   for opt in nonstars):
-                classification = "hm-structure"
-    else:
-        is_strict = None
+            classification = "other"
+            if all(star_flags):
+                classification = "star"
+            elif g.kind == "cycle" and mode == "uniform":
+                nonstars = [opt for opt, ok in zip(solved.all_optima, star_flags) if not ok]
+                if all(matches_hm_structure(g.meta["n"], size,
+                                            [fam.sets[i] for i in opt])
+                       for opt in nonstars):
+                    classification = "hm-structure"
     oracle = _dispatch_oracle(g, mode, size, s, sun_variant)
-    construction_ok = _check_construction(g, mode, size, s, fam, solved, star_size)
+    construction_ok = None
+    if solved.value_exact:
+        construction_ok = _check_construction(g, mode, size, s, fam, solved, star_size)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return Verdict(
         instance=_instance_tag(g, mode, size, s),
@@ -199,7 +221,8 @@ def _check_construction(g: Graph, mode: str, size: int | None, s: int,
                         fam: SetFamily, solved: SolveResult,
                         star_size: int) -> bool | None:
     """Verify the explicit extremal family for instances that have one:
-    it must satisfy its claimed predicates and match the brute value."""
+    it must satisfy its claimed predicates and match the exact brute
+    value."""
     try:
         if g.kind in ("cycle", "sun") and mode == "uniform":
             n = g.meta["n"]
@@ -207,7 +230,7 @@ def _check_construction(g: Graph, mode: str, size: int | None, s: int,
             built = oracles.build_sun_star_family(n, t, size, s)
             ok = is_s_intersecting(built, s)
             ok &= is_s_star(built, s).is_star
-            ok &= len(built) == solved.value or solved.limits_hit
+            ok &= len(built) == solved.value
             return ok
         if g.kind in ("cycle", "sun") and mode == "all-paths" and s == 1:
             n = g.meta["n"]
@@ -230,7 +253,10 @@ def _check_construction(g: Graph, mode: str, size: int | None, s: int,
 
 def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Maximum non-star intersecting verdict on a cycle, with the
-    two-of-three-anchors structure check on every optimum."""
+    two-of-three-anchors structure check on every optimum.  As in
+    check_ekr, is_ekr and construction_ok are None when the value is
+    inexact, and the classification is 'unknown' when the optima list
+    is incomplete."""
     if g.kind != "cycle":
         raise GraphError(f"non-star verdicts run on cycles, got {g.kind!r}")
     start = time.perf_counter()
@@ -241,11 +267,13 @@ def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     oracle = oracles.hm_cycle_size(n, r)
     classification = "other"
     construction_ok: bool | None = None
-    if solved.all_optima is not None and not solved.limits_hit and not solved.infeasible:
-        if all(matches_hm_structure(n, r, [fam.sets[i] for i in opt])
-               for opt in solved.all_optima):
-            classification = "hm-structure"
-    if oracle.applicable:
+    if solved.limits_hit:
+        classification = "unknown"
+    elif not solved.infeasible and all(
+            matches_hm_structure(n, r, [fam.sets[i] for i in opt])
+            for opt in solved.all_optima):
+        classification = "hm-structure"
+    if oracle.applicable and solved.value_exact:
         anchors = (0, r - 1, 2 * (r - 1) % n)
         try:
             built = oracles.build_cycle_hm_family(n, r, anchors)
@@ -261,7 +289,7 @@ def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         max_star={"size": star_size, "center": list(elems_of(star_center))},
         brute_value=solved.value,
         oracle=oracle,
-        is_ekr=solved.value <= star_size,
+        is_ekr=solved.value <= star_size if solved.value_exact else None,
         is_strict=None,
         classification=classification,
         witnesses={"optimum": [list(fam.member(i)) for i in solved.witness],

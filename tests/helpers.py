@@ -3,12 +3,14 @@
 Everything here deliberately avoids the package's search code paths:
 path counting walks raw sequences, maximum intersecting subfamilies come
 from an all-subsets scan or Bron-Kerbosch, transversals from a
-combinations sweep.
+combinations sweep, the Hilton-Milner anchor families from a scan over
+every anchor triple.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from ekrlab.families import SetFamily, mask_of
@@ -109,6 +111,67 @@ def bk_max_s_intersecting(fam: SetFamily, s: int) -> int:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return bron_kerbosch_max(adj, m)
+
+
+def naive_all_max_s_intersecting(fam: SetFamily, s: int,
+                                 nonstar: bool = False) -> tuple[int, set[tuple[int, ...]]]:
+    """All-subsets scan for the largest s-intersecting subfamilies: the
+    size and the set of every optimum as sorted member-index tuples.
+    With nonstar, only nonempty subfamilies whose members share fewer
+    than s elements count; (0, set()) means none does."""
+    sets = fam.sets
+    m = len(sets)
+    assert m <= 16, "naive scan limited to small families"
+    # meets[i]: the members that meet member i in >= s elements, and i
+    meets = [mask_of(j for j in range(m) if j == i or (sets[i] & sets[j]).bit_count() >= s)
+             for i in range(m)]
+    best, optima = (-1, set()) if nonstar else (0, {()})
+    for mask in range(1, 1 << m):
+        size = mask.bit_count()
+        if size < best:
+            continue
+        members = [i for i in range(m) if (mask >> i) & 1]
+        if any(mask & ~meets[i] for i in members):
+            continue
+        if nonstar:
+            common = sets[members[0]]
+            for i in members[1:]:
+                common &= sets[i]
+            if common.bit_count() >= s:
+                continue
+        if size > best:
+            best, optima = size, set()
+        optima.add(tuple(members))
+    return (0, set()) if best < 0 else (best, optima)
+
+
+def random_family(seed: int) -> SetFamily:
+    """Distinct random subsets of a small ground set, with no
+    intersection condition imposed."""
+    rng = random.Random(seed)
+    ground = rng.randint(4, 9)
+    m = rng.randint(1, 14)
+    sets: set[int] = set()
+    while len(sets) < m:
+        sets.add(mask_of(rng.sample(range(ground), rng.randint(1, ground - 1))))
+    return SetFamily(ground=ground, sets=tuple(sorted(sets)), name=f"random({seed})")
+
+
+def naive_matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
+    """Anchor scan: does the family equal, for some 3 cycle vertices, the
+    set of all r-windows meeting them in exactly two vertices?"""
+    return tuple(sorted(member_masks)) in naive_hm_families(n, r)
+
+
+@lru_cache(maxsize=1)
+def naive_hm_families(n: int, r: int) -> frozenset[tuple[int, ...]]:
+    """Every three-anchor family on the n-cycle as a sorted mask tuple."""
+    windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
+    out = set()
+    for anchors in combinations(range(n), 3):
+        smask = mask_of(anchors)
+        out.add(tuple(sorted(w for w in windows if (w & smask).bit_count() == 2)))
+    return frozenset(out)
 
 
 def naive_min_transversal(fam: SetFamily) -> int:

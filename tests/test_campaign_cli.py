@@ -81,6 +81,7 @@ class TestRunCampaign:
         cfg.sun_variant = "squared"
         report = run_campaign(cfg)
         assert report["summary"]["exit_code"] == 0
+        assert CampaignConfig().sun_variant == "squared"
 
     def test_deterministic_apart_from_runtime(self):
         cfg = CampaignConfig(kind="sun", n=[6], t=[1], s=[1], r="valid")
@@ -159,6 +160,17 @@ class TestCli:
                      "--r", "3", "--s", "1", "--out", str(out)]) == 0
         verdict = json.loads(out.read_text())
         assert verdict["brute_value"] == 3 and verdict["is_ekr"]
+
+    def test_check_ekr_sun_variant_default(self, tmp_path):
+        # r = s+2 = 4: the default squared bound matches the search (8),
+        # the binomial reading undercounts (7)
+        out = tmp_path / "v.json"
+        args = ["check-ekr", "--kind", "sun", "--n", "8", "--t", "1", "--mode", "uniform",
+                "--r", "4", "--s", "2", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["oracle"]["value"] == 8
+        assert main(args + ["--sun-variant", "binomial"]) == 2
+        assert json.loads(out.read_text())["oracle"]["value"] == 7
 
     def test_check_hm_verdict(self, tmp_path):
         out = tmp_path / "v.json"

@@ -117,6 +117,78 @@ class TestEnumerateMaximum:
         assert res.limits_hit and len(res.all_optima) == 2
 
 
+    def test_budget_overrun_keeps_best_known_clique(self):
+        fam = path_family(make_sun(8, 2), 4)
+        res = enumerate_maximum_s_intersecting(fam, 1, Limits(node_budget=3))
+        assert res.limits_hit and not res.value_exact and res.all_optima is None
+        # the star seed is the floor of the pass
+        assert res.value == len(res.witness) == 24
+        sub = SetFamily(ground=fam.ground,
+                        sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+        assert is_s_intersecting(sub, 1)
+
+
+def differential_families():
+    for seed in range(30):
+        for fam in (helpers.mixed_intersecting_family(seed), helpers.random_family(seed)):
+            if len(fam) <= 14:
+                yield fam
+    # many tied optima, so every cap below the count bites
+    yield path_family(make_cycle(10), 5)
+    yield path_family(make_cycle(12), 6)
+
+
+def assert_cap_semantics(solve, optima):
+    for cap in {0, max(len(optima) - 1, 0), len(optima)}:
+        res = solve(Limits(optima_cap=cap))
+        assert res.limits_hit == (len(optima) > cap) and res.value_exact
+        assert len(res.all_optima) == min(cap, len(optima))
+        assert set(res.all_optima) <= optima
+
+
+class TestOnePassAgainstSubsetScan:
+    def test_maximum_optima(self):
+        for fam in differential_families():
+            for s in (1, 2, 3):
+                value, optima = helpers.naive_all_max_s_intersecting(fam, s)
+                res = enumerate_maximum_s_intersecting(fam, s)
+                assert res.value == value and not res.limits_hit, (fam.name, s)
+                assert res.all_optima == tuple(sorted(optima)), (fam.name, s)
+                assert res.witness == min(optima)
+                assert_cap_semantics(
+                    lambda lim: enumerate_maximum_s_intersecting(fam, s, lim), optima)
+
+    def test_nonstar_optima(self):
+        for fam in differential_families():
+            for s in (1, 2, 3):
+                value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar=True)
+                res = max_nonstar_s_intersecting(fam, s, enumerate_optima=True)
+                assert res.value == value and not res.limits_hit, (fam.name, s)
+                if not optima:
+                    assert res.infeasible and res.all_optima is None
+                    continue
+                assert res.all_optima == tuple(sorted(optima)), (fam.name, s)
+                assert res.witness == min(optima)
+                assert_cap_semantics(
+                    lambda lim: max_nonstar_s_intersecting(fam, s, lim, enumerate_optima=True),
+                    optima)
+
+
+class TestNodeCounts:
+    """Node counts are deterministic; a rise means the search tree grew."""
+
+    def test_one_pass_enumeration(self):
+        res = enumerate_maximum_s_intersecting(path_family(make_sun(12, 3), 6), 1)
+        assert res.nodes <= 2701
+
+    def test_nonstar_enumeration(self):
+        # the cap counts non-star optima only: all 312 fit under 400
+        res = max_nonstar_s_intersecting(path_family(make_cycle(26), 12), 1,
+                                         Limits(optima_cap=400), enumerate_optima=True)
+        assert res.nodes <= 4754
+        assert len(res.all_optima) == 312 and not res.limits_hit
+
+
 class TestNonStar:
     def test_cycle_12_5(self):
         res = max_nonstar_s_intersecting(path_family(make_cycle(12), 5), 1)

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import helpers
+from ekrlab.families import mask_of
 from ekrlab.graphs import GraphError, make_cycle, make_random_tree, make_sun, \
     make_theta
 from ekrlab.solvers import Limits
@@ -61,6 +65,27 @@ class TestCheckEkr:
         assert v.is_strict is None
         assert v.oracle_match is None
 
+    def test_capped_optima_give_unknown_classification(self):
+        # a 5-optimum sample of cycle(12) r=6 looks like the anchor
+        # structure and a 3-optimum sample of cycle(10) r=4 looks like
+        # stars; only the complete lists decide
+        capped = check_ekr(make_cycle(12), "uniform", 6, 1, Limits(optima_cap=5))
+        assert capped.limits_hit and capped.value_exact
+        assert capped.classification == "unknown"
+        assert check_ekr(make_cycle(12), "uniform", 6, 1).classification == "other"
+        capped = check_ekr(make_cycle(10), "uniform", 4, 1, Limits(optima_cap=3))
+        assert capped.limits_hit and capped.classification == "unknown"
+        assert check_ekr(make_cycle(10), "uniform", 4, 1).classification == "star"
+
+    def test_inexact_value_gives_unknown_labels(self):
+        v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=3))
+        assert v.limits_hit and v.value_exact is False
+        assert v.is_ekr is None
+        assert v.construction_ok is None
+        assert v.classification == "unknown"
+        assert v.brute_value == v.max_star["size"] == 24
+        assert len(v.witnesses["optimum"]) == 24
+
     def test_without_optima_enumeration(self):
         v = check_ekr(make_cycle(8), "uniform", 3, 1, enumerate_optima=False)
         assert v.brute_value == 3 and v.is_ekr
@@ -89,6 +114,17 @@ class TestCheckHm:
         assert v.oracle_match is None
         assert v.witnesses["infeasible"]
 
+    def test_budget_overrun_gives_unknown_labels(self):
+        v = check_hm(make_cycle(26), 12, Limits(node_budget=50))
+        assert v.limits_hit and v.value_exact is False
+        assert v.is_ekr is None and v.construction_ok is None
+        assert v.classification == "unknown"
+
+    def test_capped_optima_give_unknown_classification(self):
+        v = check_hm(make_cycle(12), 5, Limits(optima_cap=2))
+        assert v.limits_hit and v.value_exact and v.brute_value == 3
+        assert v.classification == "unknown"
+
     def test_requires_cycle(self):
         with pytest.raises(GraphError):
             check_hm(make_sun(6, 1), 3)
@@ -110,3 +146,22 @@ class TestHmStructureMatcher:
     def test_single_window_unmatchable(self):
         from ekrlab.families import mask_of
         assert not matches_hm_structure(12, 5, [mask_of(range(5))])
+
+    def test_lookup_agrees_with_anchor_scan(self):
+        rng = random.Random(11)
+        for n in range(6, 17):
+            for r in range(1, n):
+                windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
+                not_window = mask_of(range(r + 1))
+                cases = set()
+                for fam in helpers.naive_hm_families(n, r):
+                    cases.add(fam)
+                    cases.update(fam[:i] + fam[i + 1:] for i in range(len(fam)))
+                    # adding a window of the family makes a duplicate
+                    cases.update(fam + (w,) for w in windows)
+                    cases.add(fam + (not_window,))
+                cases.update(tuple(rng.sample(windows, rng.randint(0, n)))
+                             for _ in range(40))
+                for case in cases:
+                    assert matches_hm_structure(n, r, list(case)) == \
+                        helpers.naive_matches_hm_structure(n, r, list(case)), (n, r, case)
