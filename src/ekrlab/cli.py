@@ -86,7 +86,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "op": args.op,
         "s": args.s,
         "value": res.value,
-        "witness": [list(fam.member(i)) for i in res.witness],
+        # a transversal witness holds ground elements, not member indices
+        "witness": list(res.witness) if args.op == "transversal"
+        else [list(fam.member(i)) for i in res.witness],
         "nodes": res.nodes,
         "limits_hit": res.limits_hit,
         "infeasible": res.infeasible,

@@ -4,16 +4,21 @@ Maximum s-intersecting subfamily search is a maximum clique problem on
 the compatibility graph (members adjacent when they meet in >= s
 elements), solved by branch and bound with a greedy coloring bound.
 Transversals use hitting-set branch and bound on a minimum uncovered
-member.  Clique searches run over a degree-descending reordering (dense
-compatibility graphs are near-trivial in that order and pathological in
-member order); default witnesses are recomputed in family order by a
+member with two lower bounds: a greedy packing of pairwise-disjoint
+uncovered members, and a degree-sum bound (the fewest elements whose
+largest hit counts add up to the uncovered count), which carries the
+search on intersecting families, where the packing bound is 1.  Clique
+searches run over a degree-descending reordering (dense compatibility
+graphs are near-trivial in that order and pathological in member
+order); default witnesses are recomputed in family order by a
 deterministic certification pass.  Optima enumeration is a single pass:
 it starts from the size of a known clique and collects every maximum
 clique while its threshold rises, so the maximum s-intersecting and
 maximum non-star enumerations run no separate maximum search, and their
-witness is the least optimum.  Everything is single-threaded in a
-fixed order, so values and witnesses are reproducible; node budgets make
-partial results an explicit error state rather than a silent answer.
+witness is the least optimum (certified when the list is capped).
+Everything is single-threaded in a fixed order, so values and witnesses
+are reproducible; node budgets make partial results an explicit error
+state rather than a silent answer.
 """
 
 from __future__ import annotations
@@ -141,6 +146,15 @@ def _translate_mask(mask: int, pos: list[int]) -> int:
     return out
 
 
+def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
+    """Per element, the member-index mask of the members containing it."""
+    holders = [0] * max((m.bit_length() for m in sets), default=0)
+    for i, mask in enumerate(sets):
+        for e in elems_of(mask):
+            holders[e] |= 1 << i
+    return holders
+
+
 class _CliqueSearch:
     """Branch and bound core shared by the clique-shaped operations.
 
@@ -158,11 +172,7 @@ class _CliqueSearch:
         self.sets = sets
         self.s = s
         if sets is not None:
-            ground = max((m.bit_length() for m in sets), default=0)
-            self.members_of = [0] * ground
-            for i, mask in enumerate(sets):
-                for e in elems_of(mask):
-                    self.members_of[e] |= 1 << i
+            self.members_of = _holder_masks(sets)
 
     def maximum(self, stop_at: int | None = None,
                 seed: tuple[int, int] | None = None) -> tuple[int, int, bool]:
@@ -354,7 +364,7 @@ def max_s_intersecting(fam: SetFamily, s: int,
     if seed is not None:
         seed = (seed[0], _translate_mask(seed[1], pos))
     value, mask, hit = search.maximum(seed=seed)
-    partial = tuple(sorted(perm[i] for i in _mask_indices(mask)))
+    partial = tuple(sorted(perm[i] for i in elems_of(mask)))
     if hit:
         return SolveResult(value=value, witness=partial, nodes=budget.used,
                            limits_hit=True, value_exact=False)
@@ -382,13 +392,20 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     try:
         raw, capped = search.enumerate_exact(floor, limits.optima_cap)
     except _BudgetExceeded:
-        best = search.found[0] if search.found else _mask_indices(floor_mask)
+        best = search.found[0] if search.found else elems_of(floor_mask)
         return SolveResult(value=search.best, witness=tuple(sorted(perm[i] for i in best)),
                            nodes=budget.used, limits_hit=True, value_exact=False)
     optima = sorted(tuple(sorted(perm[i] for i in clique)) for clique in raw)
-    witness = optima[0] if optima else ()
+    if not capped:
+        return SolveResult(value=search.best, witness=optima[0], all_optima=tuple(optima),
+                           nodes=budget.used)
+    # a capped list is a sample, so the lex-least optimum is certified
+    try:
+        witness = search.lex_least(search.best, orig_adj=cg.adj, pos=pos)
+    except _BudgetExceeded:
+        witness = min(tuple(sorted(perm[i] for i in clique)) for clique in search.found)
     return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=capped)
+                       nodes=budget.used, limits_hit=True)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -423,9 +440,9 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
                                limits_hit=True, value_exact=False)
         if search.best == 0:
             return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
-        witness = optima[0] if optima else ()
-        return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                           nodes=budget.used, limits_hit=capped)
+        # the least clique collected, before the list is cut to the cap
+        return SolveResult(value=search.best, witness=min(search.found),
+                           all_optima=tuple(optima), nodes=budget.used, limits_hit=capped)
     ground_full = (1 << fam.ground) - 1
     state = {"best": 0, "best_stack": ()}
 
@@ -459,107 +476,148 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
 
 
 def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveResult:
-    """Exact minimum hitting set, branching on a smallest uncovered member."""
+    """Exact minimum hitting set, branching on a smallest uncovered member;
+    the witness is the lex-least minimum hitting set."""
     sets = fam.sets
     if any(s == 0 for s in sets):
         return SolveResult(value=0, witness=(), infeasible=True)
     if not sets:
         return SolveResult(value=0, witness=())
     budget = _Budget(limits.node_budget)
-
-    # greedy upper bound: repeatedly hit with a highest-degree element
-    remaining = list(sets)
-    greedy: list[int] = []
-    while remaining:
-        counts: dict[int, int] = {}
-        for mask in remaining:
-            for e in _bits(mask):
-                counts[e] = counts.get(e, 0) + 1
-        e = min(counts, key=lambda x: (-counts[x], x))
-        greedy.append(e)
-        remaining = [mask for mask in remaining if not (mask >> e) & 1]
-    state = {"best": len(greedy), "best_set": tuple(sorted(greedy))}
-
-    def packing_bound(unhit: list[int]) -> int:
-        # pairwise-disjoint uncovered members each need their own element
-        used = 0
-        count = 0
-        for mask in unhit:
-            if mask & used == 0:
-                used |= mask
-                count += 1
-        return count
-
-    def branch(chosen: list[int], hit_mask: int) -> None:
-        unhit = [mask for mask in sets if mask & hit_mask == 0]
-        if not unhit:
-            if len(chosen) < state["best"]:
-                state["best"] = len(chosen)
-                state["best_set"] = tuple(sorted(chosen))
-            return
-        if len(chosen) + packing_bound(unhit) >= state["best"]:
-            return
-        pivot = min(unhit, key=lambda m: (m.bit_count(), m))
-        for e in _bits(pivot):
-            budget.spend()
-            chosen.append(e)
-            branch(chosen, hit_mask | (1 << e))
-            chosen.pop()
-
+    search = _HittingSearch(sets, budget)
     try:
-        branch([], 0)
+        search.minimum()
     except _BudgetExceeded:
-        return SolveResult(value=state["best"], witness=state["best_set"],
+        return SolveResult(value=search.best, witness=search.best_set,
                            nodes=budget.used, limits_hit=True, value_exact=False)
     try:
-        witness = _lex_least_hitting(sets, state["best"], budget)
+        witness = search.lex_least(search.best)
     except _BudgetExceeded:
-        return SolveResult(value=state["best"], witness=state["best_set"],
+        return SolveResult(value=search.best, witness=search.best_set,
                            nodes=budget.used, limits_hit=True)
-    return SolveResult(value=state["best"], witness=witness, nodes=budget.used)
+    return SolveResult(value=search.best, witness=witness, nodes=budget.used)
 
 
-def _can_hit(sets: tuple[int, ...], hit_mask: int, forbidden: int, k: int,
-             budget: _Budget) -> bool:
-    unhit = [m for m in sets if m & hit_mask == 0]
-    if not unhit:
-        return True
-    if k == 0:
-        return False
-    used = 0
-    count = 0
-    for mask in unhit:
-        if mask & used == 0:
-            used |= mask
+def _degrees_fall_short(holders: list[int], unhit: int, k: int) -> bool:
+    """Degree-sum bound: an element hits (holder & unhit) members, so k
+    elements hit at most the k largest of those counts together.  True
+    when that sum is below |unhit|, i.e. more than k elements are needed."""
+    degrees = sorted([(h & unhit).bit_count() for h in holders], reverse=True)
+    return sum(degrees[:k]) < unhit.bit_count()
+
+
+class _HittingSearch:
+    """Hitting-set branch and bound over member-index bitmasks.
+
+    Members are indexed smallest first (by size, then mask), so the
+    pivot of the search, a smallest uncovered member, is the lowest
+    uncovered bit.  A node with uncovered members is pruned by two lower
+    bounds on the elements still needed: a greedy packing of pairwise
+    disjoint uncovered members, each of which needs its own element, and,
+    when the packing does not prune, the degree-sum bound."""
+
+    def __init__(self, sets: tuple[int, ...], budget: _Budget) -> None:
+        self.sets = sorted(sets, key=lambda m: (m.bit_count(), m))
+        self.holders = _holder_masks(self.sets)
+        # meets[i]: the members sharing an element with member i, and i
+        self.meets = []
+        for mask in self.sets:
+            meet = 0
+            for e in elems_of(mask):
+                meet |= self.holders[e]
+            self.meets.append(meet)
+        self.full = (1 << len(self.sets)) - 1
+        self.budget = budget
+        self.best = 0
+        self.best_set: tuple[int, ...] = ()
+
+    def _packing_exceeds(self, unhit: int, k: int) -> bool:
+        """True when more than k pairwise-disjoint members of unhit turn
+        up, taking each lowest member disjoint from those already taken."""
+        count = 0
+        while unhit:
             count += 1
             if count > k:
-                return False
-    pivot = min(unhit, key=lambda m: ((m & ~forbidden).bit_count(), m))
-    for e in _bits(pivot & ~forbidden):
-        budget.spend()
-        if _can_hit(sets, hit_mask | (1 << e), forbidden, k - 1, budget):
-            return True
-    return False
+                return True
+            unhit &= ~self.meets[(unhit & -unhit).bit_length() - 1]
+        return False
 
+    def minimum(self) -> None:
+        """Sets best and best_set; a greedy hitting set (a highest-degree
+        element at a time, lowest on ties) is the warm upper bound, and
+        the partial best survives a budget overrun."""
+        holders = self.holders
+        unhit = self.full
+        greedy = []
+        while unhit:
+            e = max(range(len(holders)), key=lambda x: (holders[x] & unhit).bit_count())
+            greedy.append(e)
+            unhit &= ~holders[e]
+        self.best, self.best_set = len(greedy), tuple(sorted(greedy))
+        self._branch([], self.full)
 
-def _lex_least_hitting(sets: tuple[int, ...], size: int,
-                       budget: _Budget) -> tuple[int, ...]:
-    chosen: list[int] = []
-    hit = 0
-    forbidden = 0
-    ground_top = max((m.bit_length() for m in sets), default=0)
-    for e in range(ground_top):
-        if len(chosen) == size:
-            break
-        bit = 1 << e
-        if _can_hit(sets, hit | bit, forbidden, size - len(chosen) - 1, budget):
+    def _branch(self, chosen: list[int], unhit: int) -> None:
+        if not unhit:
+            if len(chosen) < self.best:
+                self.best = len(chosen)
+                self.best_set = tuple(sorted(chosen))
+            return
+        room = self.best - len(chosen) - 1
+        if self._packing_exceeds(unhit, room) or \
+                _degrees_fall_short(self.holders, unhit, room):
+            return
+        for e in elems_of(self.sets[(unhit & -unhit).bit_length() - 1]):
+            self.budget.spend()
             chosen.append(e)
-            hit |= bit
-        else:
-            forbidden |= bit
-    if len(chosen) != size or any(m & hit == 0 for m in sets):
-        raise AssertionError("certification pass lost the optimum")
-    return tuple(chosen)
+            self._branch(chosen, unhit & ~self.holders[e])
+            chosen.pop()
+
+    def lex_least(self, size: int) -> tuple[int, ...]:
+        """Certification pass: the lexicographically least hitting set of
+        the given size.  Each element in turn is taken when the members it
+        leaves uncovered can still be hit by the elements left; otherwise
+        it is forbidden for the rest of the pass."""
+        chosen: list[int] = []
+        unhit = self.full
+        self._forbid(0)
+        forbidden = 0
+        for e in range(len(self.holders)):
+            if len(chosen) == size:
+                break
+            rest = unhit & ~self.holders[e]
+            if self._can_hit(rest, size - len(chosen) - 1):
+                chosen.append(e)
+                unhit = rest
+            else:
+                forbidden |= 1 << e
+                self._forbid(forbidden)
+        if len(chosen) != size or unhit:
+            raise AssertionError("certification pass lost the optimum")
+        return tuple(chosen)
+
+    def _forbid(self, forbidden: int) -> None:
+        """Rebuild what _can_hit needs about the elements still allowed."""
+        self.allowed = ~forbidden
+        self.allowed_holders = [h for e, h in enumerate(self.holders)
+                                if not (forbidden >> e) & 1]
+        self.cover = 0
+        for h in self.allowed_holders:
+            self.cover |= h
+
+    def _can_hit(self, unhit: int, k: int) -> bool:
+        """Can k allowed elements hit every member of unhit?"""
+        if not unhit:
+            return True
+        if unhit & ~self.cover or self._packing_exceeds(unhit, k) or \
+                _degrees_fall_short(self.allowed_holders, unhit, k):
+            return False
+        sets, allowed = self.sets, self.allowed
+        pivot = min(elems_of(unhit), key=lambda i: (sets[i] & allowed).bit_count())
+        for e in elems_of(sets[pivot] & allowed):
+            self.budget.spend()
+            if self._can_hit(unhit & ~self.holders[e], k - 1):
+                return True
+        return False
 
 
 def max_triangular_intersecting(fam: SetFamily, s: int = 1,
@@ -616,12 +674,12 @@ def max_intersecting_sperner(fam: SetFamily,
     search = _CliqueSearch(adj, budget)
     value, mask, hit = search.maximum()
     if hit:
-        return SolveResult(value=value, witness=_mask_indices(mask),
+        return SolveResult(value=value, witness=elems_of(mask),
                            nodes=budget.used, limits_hit=True, value_exact=False)
     try:
         optima, capped = search.enumerate_exact(value, limits.optima_cap)
     except _BudgetExceeded:
-        return SolveResult(value=value, witness=_mask_indices(mask),
+        return SolveResult(value=value, witness=elems_of(mask),
                            nodes=budget.used, limits_hit=True)
     uniform = None
     if not capped:
@@ -649,15 +707,3 @@ def helly_triple_check(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | Non
                     return False, (i, j, k)
     return True, None
 
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    return tuple(_bits(mask))

@@ -174,14 +174,15 @@ def naive_hm_families(n: int, r: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def naive_min_transversal(fam: SetFamily) -> int:
-    """Smallest hitting set by scanning element subsets of growing size."""
+def naive_lex_least_transversal(fam: SetFamily) -> tuple[int, ...]:
+    """Lex-least smallest hitting set, scanning element subsets of
+    growing size in lexicographic order."""
     universe = sorted({e for mask in fam.sets for e in _bits(mask)})
     for size in range(0, len(universe) + 1):
         for combo in combinations(universe, size):
             cm = mask_of(combo)
             if all(mask & cm for mask in fam.sets):
-                return size
+                return combo
     raise AssertionError("no transversal found")
 
 

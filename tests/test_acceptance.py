@@ -315,7 +315,7 @@ def test_criterion_09_projective_planes():
                 and st.delta_s[2] == 1 and st.min_size == q + 1
                 and is_s_intersecting(lines, 1)):
             failures.append(f"PG({q}): incidence regularity broken")
-        if q <= 5 and min_transversal(lines).value != q + 1:
+        if min_transversal(lines).value != q + 1:
             failures.append(f"PG({q}): transversal != q+1")
     for q in (3, 5, 7):
         fam = triangular_odd(fields[q])

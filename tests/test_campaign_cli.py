@@ -152,7 +152,15 @@ class TestCli:
         out = tmp_path / "res.json"
         assert main(["solve", "--family", str(ffile), "--op", "transversal",
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["value"] == 3
+        payload = json.loads(out.read_text())
+        # the witness lists ground elements: the lex-least 3 points
+        assert payload["value"] == 3 and payload["witness"] == [0, 1, 2]
+        # elements beyond the member count must not be read as members
+        ffile.write_text("# ground=10 count=2\n7 9\n8 9\n")
+        assert main(["solve", "--family", str(ffile), "--op", "transversal",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["value"] == 1 and payload["witness"] == [9]
 
     def test_check_ekr_verdict(self, tmp_path):
         out = tmp_path / "v.json"

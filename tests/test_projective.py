@@ -135,9 +135,11 @@ class TestBuildPg:
 
 
 class TestTransversalOfPlanes:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    # every prime power up to 23; the orders missing from FIELDS are primes
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23])
     def test_tau_is_q_plus_one(self, q):
-        assert min_transversal(build_pg(FIELDS[q]).lines).value == q + 1
+        res = min_transversal(build_pg(FIELDS.get(q) or make_field(q, 1)).lines)
+        assert res.value == q + 1 and res.value_exact
 
 
 class TestTriangularOdd:

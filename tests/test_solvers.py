@@ -1,5 +1,5 @@
 import helpers
-from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, stats
+from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, stats
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
@@ -116,6 +116,22 @@ class TestEnumerateMaximum:
         res = enumerate_maximum_s_intersecting(fam, 1, Limits(optima_cap=2))
         assert res.limits_hit and len(res.all_optima) == 2
 
+    def test_capped_witness(self):
+        # cap 5 keeps the uncapped lex-least witness; cap 0 still reports
+        # an optimum of value members in both enumerations
+        fam = path_family(make_cycle(12), 6)
+        full = enumerate_maximum_s_intersecting(fam, 1)
+        res = enumerate_maximum_s_intersecting(fam, 1, Limits(optima_cap=5))
+        assert res.limits_hit and res.witness == full.witness
+        for res in (enumerate_maximum_s_intersecting(fam, 1, Limits(optima_cap=0)),
+                    max_nonstar_s_intersecting(fam, 1, Limits(optima_cap=0),
+                                               enumerate_optima=True)):
+            assert res.limits_hit and res.all_optima == ()
+            assert res.value == len(res.witness) == 6
+            sub = SetFamily(ground=fam.ground,
+                            sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+            assert is_s_intersecting(sub, 1)
+
 
     def test_budget_overrun_keeps_best_known_clique(self):
         fam = path_family(make_sun(8, 2), 4)
@@ -138,12 +154,15 @@ def differential_families():
     yield path_family(make_cycle(12), 6)
 
 
-def assert_cap_semantics(solve, optima):
+def assert_cap_semantics(solve, optima, lex_least):
+    """lex_least: the witness must be the least optimum under every cap;
+    otherwise some optimum."""
     for cap in {0, max(len(optima) - 1, 0), len(optima)}:
         res = solve(Limits(optima_cap=cap))
         assert res.limits_hit == (len(optima) > cap) and res.value_exact
         assert len(res.all_optima) == min(cap, len(optima))
         assert set(res.all_optima) <= optima
+        assert res.witness == min(optima) if lex_least else res.witness in optima
 
 
 class TestOnePassAgainstSubsetScan:
@@ -156,7 +175,7 @@ class TestOnePassAgainstSubsetScan:
                 assert res.all_optima == tuple(sorted(optima)), (fam.name, s)
                 assert res.witness == min(optima)
                 assert_cap_semantics(
-                    lambda lim: enumerate_maximum_s_intersecting(fam, s, lim), optima)
+                    lambda lim: enumerate_maximum_s_intersecting(fam, s, lim), optima, True)
 
     def test_nonstar_optima(self):
         for fam in differential_families():
@@ -171,7 +190,7 @@ class TestOnePassAgainstSubsetScan:
                 assert res.witness == min(optima)
                 assert_cap_semantics(
                     lambda lim: max_nonstar_s_intersecting(fam, s, lim, enumerate_optima=True),
-                    optima)
+                    optima, False)
 
 
 class TestNodeCounts:
@@ -187,6 +206,22 @@ class TestNodeCounts:
                                          Limits(optima_cap=400), enumerate_optima=True)
         assert res.nodes <= 4754
         assert len(res.all_optima) == 312 and not res.limits_hit
+
+    def test_transversal_of_pg7(self):
+        # the packing bound is 1 on pairwise-intersecting lines; the
+        # degree-sum bound carries the search (2,396,821 nodes without it)
+        res = min_transversal(build_pg(make_field(7, 1)).lines)
+        assert res.value == 8 and res.nodes <= 77
+
+    def test_transversal_of_pg7_minus_a_pencil(self):
+        lines = build_pg(make_field(7, 1)).lines
+        corner = 7 * 7 + 7  # the point (w,w)
+        fam = SetFamily(ground=lines.ground,
+                        sets=tuple(m for m in lines.sets if not (m >> corner) & 1))
+        res = min_transversal(fam)
+        assert res.nodes <= 21  # 299,613 without the degree-sum bound
+        assert len(res.witness) == res.value and all(m & mask_of(res.witness)
+                                                     for m in fam.sets)
 
 
 class TestNonStar:
@@ -265,11 +300,19 @@ class TestMinTransversal:
         assert len(res.witness) == res.value
 
     def test_matches_naive(self):
-        for seed in range(25):
-            fam = helpers.mixed_intersecting_family(seed)
-            if not 0 < len(fam) <= 10:
-                continue
-            assert min_transversal(fam).value == helpers.naive_min_transversal(fam)
+        # value and lex-least witness against the all-subsets scan, on
+        # intersecting and unrestricted families
+        checked = 0
+        for seed in range(60):
+            for fam in (helpers.mixed_intersecting_family(seed), helpers.random_family(seed)):
+                if not 0 < len(fam) <= 14:
+                    continue
+                checked += 1
+                res = min_transversal(fam)
+                expected = helpers.naive_lex_least_transversal(fam)
+                assert (res.value, res.witness) == (len(expected), expected), fam.name
+                assert res.value_exact and not res.limits_hit
+        assert checked >= 100
 
     def test_tau_sandwich(self):
         # ceil(m/delta) <= tau <= min(ceil(m/2), min member size)

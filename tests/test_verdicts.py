@@ -77,6 +77,13 @@ class TestCheckEkr:
         assert capped.limits_hit and capped.classification == "unknown"
         assert check_ekr(make_cycle(10), "uniform", 4, 1).classification == "star"
 
+    def test_capped_optima_keep_the_lex_least_witness(self):
+        # the witness is certified, not read off the capped sample
+        full = check_ekr(make_cycle(12), "uniform", 6, 1)
+        for cap in (0, 5):
+            capped = check_ekr(make_cycle(12), "uniform", 6, 1, Limits(optima_cap=cap))
+            assert capped.limits_hit and capped.witnesses == full.witnesses
+
     def test_inexact_value_gives_unknown_labels(self):
         v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=3))
         assert v.limits_hit and v.value_exact is False
