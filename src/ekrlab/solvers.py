@@ -3,19 +3,37 @@
 Maximum s-intersecting subfamily search is a maximum clique problem on
 the compatibility graph (members adjacent when they meet in >= s
 elements), solved by branch and bound with a greedy coloring bound.
+
+Every clique search runs on the twin quotient of its graph: members
+with equal closed neighbourhoods (N[u] = N[v], e.g. paths that differ
+only in the pendant they end at) form one vertex weighted by the class
+size.  If N[u] = N[v], a maximum clique holding u also holds v: adding
+v keeps it a clique and makes it larger.  Adding a member only shrinks
+the common intersection, so the same holds for a maximum non-star
+clique.  Every optimum is therefore a union of whole classes, and the
+optima are exactly the maximum-weight cliques of the quotient.  There
+the coloring bound sums the heaviest weight in each color class (the
+weighted coloring bound for maximum-weight clique); without twins the
+search is the plain one.  Node counts count quotient vertices.  A run
+that exhausts its node budget on a contracted quotient runs again on
+the member graph.
+
+Searches for the maximum order the quotient vertices by descending
+degree (dense compatibility graphs are near-trivial in that order and
+pathological in member order); default witnesses are recomputed in
+family order by a deterministic certification pass that takes or drops
+a whole class at a time.  Optima enumeration is a single pass: it
+starts from the weight of a known clique and collects every maximum
+clique while its threshold rises, so the maximum s-intersecting and
+maximum non-star enumerations run no separate maximum search, and their
+witness is the least optimum (certified when the list is capped).
+
 Transversals use hitting-set branch and bound on a minimum uncovered
 member with two lower bounds: a greedy packing of pairwise-disjoint
 uncovered members, and a degree-sum bound (the fewest elements whose
 largest hit counts add up to the uncovered count), which carries the
-search on intersecting families, where the packing bound is 1.  Clique
-searches run over a degree-descending reordering (dense compatibility
-graphs are near-trivial in that order and pathological in member
-order); default witnesses are recomputed in family order by a
-deterministic certification pass.  Optima enumeration is a single pass:
-it starts from the size of a known clique and collects every maximum
-clique while its threshold rises, so the maximum s-intersecting and
-maximum non-star enumerations run no separate maximum search, and their
-witness is the least optimum (certified when the list is capped).
+search on intersecting families, where the packing bound is 1.
+
 Everything is single-threaded in a fixed order, so values and witnesses
 are reproducible; node budgets make partial results an explicit error
 state rather than a silent answer.
@@ -24,7 +42,7 @@ state rather than a silent answer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .families import SetFamily, best_full_star, elems_of
 
@@ -117,33 +135,109 @@ def _color_order(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]
     return order, bounds
 
 
-def _degree_reorder(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Rows permuted so position 0 has the highest degree; returns
-    (rows, perm, pos) with perm[new] = old and pos[old] = new."""
-    m = len(adj)
-    perm = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
-    pos = [0] * m
-    for i, v in enumerate(perm):
-        pos[v] = i
-    rows = [0] * m
-    for old in range(m):
-        row = adj[old]
-        translated = 0
-        while row:
-            low = row & -row
-            translated |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        rows[pos[old]] = translated
-    return tuple(rows), perm, pos
+def _weighted_color_order(adj: tuple[int, ...], cand: int,
+                          weight: list[int]) -> tuple[list[int], list[int]]:
+    """The coloring of _color_order with weighted bounds: a clique takes
+    at most one vertex per class, so the bound at a position is the sum
+    of the heaviest weight in each class so far (in the class being
+    built, among its vertices so far)."""
+    order: list[int] = []
+    bounds: list[int] = []
+    total = 0
+    rest = cand
+    while rest:
+        top = 0
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            w = weight[v]
+            if w > top:
+                top = w
+            order.append(v)
+            bounds.append(total + top)
+            rest ^= low
+            avail &= ~adj[v]
+            avail ^= low
+        total += top
+    return order, bounds
 
 
-def _translate_mask(mask: int, pos: list[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << pos[low.bit_length() - 1]
-        mask ^= low
-    return out
+class _Quotient:
+    """A graph with each class of true twins (vertices with equal closed
+    neighbourhoods) contracted to one weighted vertex.
+
+    members[q] is the class of quotient vertex q, ascending, rows[q] its
+    adjacency and degree[q] the degree of each member in the graph;
+    pos[v] is the quotient vertex of member v.  weight[q] is the class
+    size; weight is None when every class has one member, so the search
+    runs unweighted.  identity: quotient vertex q is member q, and rows
+    are the graph's."""
+
+    __slots__ = ("rows", "members", "degree", "pos", "weight", "identity")
+
+    def __init__(self, adj: tuple[int, ...], members: list[list[int]],
+                 degree: list[int]) -> None:
+        m = len(adj)
+        self.members = members
+        self.degree = [degree[cls[0]] for cls in members]
+        self.pos = pos = [0] * m
+        for q, cls in enumerate(members):
+            for v in cls:
+                pos[v] = q
+        self.weight = [len(cls) for cls in members] if len(members) < m else None
+        self.identity = self.weight is None and pos == list(range(m))
+        if self.identity:
+            self.rows = adj
+            return
+        rows = []
+        for q, cls in enumerate(members):
+            row = adj[cls[0]]
+            out = 0
+            while row:
+                low = row & -row
+                out |= 1 << pos[low.bit_length() - 1]
+                row ^= low
+            # twins are adjacent, so a class row holds its own bit
+            rows.append(out & ~(1 << q))
+        self.rows = tuple(rows)
+
+    def lex(self) -> list[int]:
+        """The quotient vertices by least member."""
+        return sorted(range(len(self.members)), key=lambda q: self.members[q][0])
+
+    def expand(self, clique) -> tuple[int, ...]:
+        """Ascending quotient vertices -> the sorted indices of their
+        members."""
+        if self.identity:
+            return tuple(clique)
+        return tuple(sorted([v for q in clique for v in self.members[q]]))
+
+    def contract(self, mask: int) -> tuple[int, int]:
+        """A clique as a member mask -> (weight, quotient mask) of the
+        classes it touches, also a clique: a twin of a clique member is
+        adjacent to every member of the clique."""
+        out = 0
+        for v in elems_of(mask):
+            out |= 1 << self.pos[v]
+        return sum(len(self.members[q]) for q in elems_of(out)), out
+
+
+def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True,
+                   contract: bool = True) -> _Quotient:
+    """Contract the true twins of adj (without contract, every vertex is
+    its own class).  With by_degree the quotient vertices are ordered by
+    descending degree (ties: least member), the order in which dense
+    compatibility graphs are near-trivial and member order is
+    pathological; otherwise by least member."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        classes.setdefault(row | 1 << v if contract else v, []).append(v)
+    members = list(classes.values())
+    degree = [row.bit_count() for row in adj]
+    if by_degree:
+        members.sort(key=lambda c: (-degree[c[0]], c[0]))
+    return _Quotient(adj, members, degree)
 
 
 def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
@@ -158,14 +252,20 @@ def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
 class _CliqueSearch:
     """Branch and bound core shared by the clique-shaped operations.
 
-    sets and s switch on the non-star hook of enumerate_exact: sets[i]
-    is the member at search position i, and a clique counts only when
-    its members share fewer than s elements."""
+    It runs on a twin quotient: sizes are weights (class sizes), counted
+    with weighted coloring bounds when some class has more than one
+    member and with the plain class count otherwise, and cliques are
+    sets of quotient vertices.  sets and s switch on the non-star hook
+    of enumerate_exact and exists: sets[q] is the meet of the members of
+    quotient vertex q, and a clique counts only when its members share
+    fewer than s elements."""
 
-    def __init__(self, adj: tuple[int, ...], budget: _Budget,
-                 sets: tuple[int, ...] | None = None, s: int = 0) -> None:
-        self.adj = adj
-        self.m = len(adj)
+    def __init__(self, graph: _Quotient, budget: _Budget,
+                 sets: list[int] | None = None, s: int = 0) -> None:
+        self.graph = graph
+        self.adj = graph.rows
+        self.weight = graph.weight
+        self.m = len(self.adj)
         self.budget = budget
         self.best = 0
         self.best_mask = 0
@@ -176,9 +276,9 @@ class _CliqueSearch:
 
     def maximum(self, stop_at: int | None = None,
                 seed: tuple[int, int] | None = None) -> tuple[int, int, bool]:
-        """(size, member mask, limits_hit); partial best survives a
-        budget overrun.  seed is a known clique (size, mask) used as a
-        warm lower bound."""
+        """(weight, quotient mask, limits_hit); partial best survives a
+        budget overrun.  seed is a known clique (weight, quotient mask)
+        used as a warm lower bound."""
         self.best, self.best_mask = self._greedy_seed()
         if seed is not None and seed[0] > self.best:
             self.best, self.best_mask = seed
@@ -193,22 +293,24 @@ class _CliqueSearch:
         return self.best, self.best_mask, hit
 
     def _greedy_seed(self) -> tuple[int, int]:
-        """Degree-greedy clique; a warm lower bound for the search."""
-        adj = self.adj
-        order = sorted(range(self.m), key=lambda v: (-adj[v].bit_count(), v))
+        """Degree-greedy clique, degrees counting members; a warm lower
+        bound for the search."""
+        adj, weight, degree = self.adj, self.weight, self.graph.degree
+        order = sorted(range(self.m), key=lambda v: (-degree[v], v))
         mask = 0
         size = 0
         cand = (1 << self.m) - 1
         for v in order:
             if (cand >> v) & 1:
                 mask |= 1 << v
-                size += 1
+                size += 1 if weight is None else weight[v]
                 cand &= adj[v]
         return size, mask
 
     def _expand(self, rmask: int, rsize: int, cand: int) -> None:
-        adj = self.adj
-        order, bounds = _color_order(adj, cand)
+        adj, weight = self.adj, self.weight
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
             if rsize + bounds[i] <= self.best:
                 return
@@ -217,110 +319,126 @@ class _CliqueSearch:
             v = order[i]
             bit = 1 << v
             self.budget.spend()
-            if rsize + 1 > self.best:
-                self.best = rsize + 1
+            size = rsize + (1 if weight is None else weight[v])
+            if size > self.best:
+                self.best = size
                 self.best_mask = rmask | bit
             nxt = cand & adj[v]
             if nxt:
-                self._expand(rmask | bit, rsize + 1, nxt)
+                self._expand(rmask | bit, size, nxt)
             cand ^= bit
 
-    def exists(self, cand: int, need: int) -> bool:
-        """Decision variant: is there a clique of size need inside cand?"""
+    def exists(self, cand: int, need: int, common: int = -1) -> bool:
+        """Decision variant: is there a clique of weight need inside cand?
+        With the non-star hook on, the clique must also bring the running
+        intersection common below s elements.  need always completes a
+        maximum, so no clique that counts weighs more: a vertex that
+        reaches need answers yes, and the hooked search skips a vertex
+        that overshoots it."""
+        hooked = self.sets is not None
         if need <= 0:
-            return True
-        adj = self.adj
-        order, bounds = _color_order(adj, cand)
+            return not hooked or common.bit_count() < self.s
+        if hooked and common.bit_count() >= self.s and cand & ~self._holders(common) == 0:
+            return False
+        adj, sets, weight = self.adj, self.sets, self.weight
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
             if bounds[i] < need:
                 return False
             v = order[i]
             self.budget.spend()
-            if need == 1 or self.exists(cand & adj[v], need - 1):
+            rest = need - (1 if weight is None else weight[v])
+            if not hooked:
+                if rest <= 0 or self.exists(cand & adj[v], rest):
+                    return True
+            elif rest >= 0 and self.exists(cand & adj[v], rest, common & sets[v]):
                 return True
             cand ^= 1 << v
         return False
 
-    def lex_least(self, size: int, orig_adj: tuple[int, ...] | None = None,
-                  pos: list[int] | None = None) -> tuple[int, ...]:
-        """Deterministic certification pass: lexicographically least
-        clique of the given size under the family's index order.
+    def lex_least(self, size: int) -> tuple[int, ...]:
+        """Deterministic certification pass: the lexicographically least
+        clique of weight size under the family's index order (a non-star
+        one with the hook on), as sorted member indices.
 
-        When the search rows are a reordering, orig_adj/pos translate
-        family-order candidate sets into search space."""
-        if orig_adj is None:
-            orig_adj = self.adj
+        Every optimum is a union of whole twin classes, and the least
+        member of the first class where two optima differ decides their
+        order, so the pass tries the quotient vertices by least member
+        and takes or drops a whole class at once."""
+        adj, sets, weight = self.adj, self.sets, self.weight
         chosen: list[int] = []
         cand = (1 << self.m) - 1
-        while len(chosen) < size:
-            picked = False
-            rest = cand
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                nxt = cand & orig_adj[v]
-                probe = nxt if pos is None else _translate_mask(nxt, pos)
-                if self.exists(probe, size - len(chosen) - 1):
-                    chosen.append(v)
-                    cand = nxt
-                    picked = True
-                    break
-                cand ^= low
-            if not picked:
-                raise AssertionError("certification pass lost the optimum")
-        return tuple(chosen)
+        common = -1
+        left = size
+        for q in self.graph.lex():
+            if left <= 0:
+                break
+            if not (cand >> q) & 1:
+                continue
+            rest = left - (1 if weight is None else weight[q])
+            nxt = cand & adj[q]
+            meet = common if sets is None else common & sets[q]
+            if rest >= 0 and self.exists(nxt, rest, meet):
+                chosen.append(q)
+                cand, left, common = nxt, rest, meet
+            else:
+                cand ^= 1 << q
+        if left > 0:
+            raise AssertionError("certification pass lost the optimum")
+        return self.graph.expand(chosen)
 
     def enumerate_exact(self, floor: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-        """Every maximum clique, sorted, in one pass; capped.
+        """Every maximum clique, as sorted member indices, in one pass;
+        capped.
 
-        floor is the size of a known clique (0 when none is known).  The
-        threshold moves up as larger cliques turn up: cliques of the
-        current best size are collected, and a larger one resets the
-        list.  Once more than cap are held, only a larger clique can
+        floor is the weight of a known clique (0 when none is known).  The
+        threshold moves up as heavier cliques turn up: cliques of the
+        current best weight are collected, and a heavier one resets the
+        list.  Once more than cap are held, only a heavier clique can
         matter, so the search prunes on <= best until one turns up.
         With the non-star hook on, only cliques whose members share
         fewer than s elements count.  On a budget overrun the partial
-        state stays in best and found."""
+        state stays in best and found (quotient vertices)."""
         self.best = floor
         self.found: list[tuple[int, ...]] = []
         self._cap = cap
         self._capped = False
         if self.m == 0:
             return [()], False
-        self._collect([], (1 << self.m) - 1, -1)
-        return sorted(self.found[:cap]), self._capped
+        self._collect([], 0, (1 << self.m) - 1, -1)
+        return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
-    def _collect(self, stack: list[int], cand: int, common: int) -> None:
-        adj = self.adj
-        sets = self.sets
-        order, bounds = _color_order(adj, cand)
+    def _collect(self, stack: list[int], size: int, cand: int, common: int) -> None:
+        adj, sets, weight = self.adj, self.sets, self.weight
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
-            reach = len(stack) + bounds[i]
+            reach = size + bounds[i]
             if reach < self.best or (self._capped and reach == self.best):
                 return
             v = order[i]
             self.budget.spend()
             stack.append(v)
+            grown = size + (1 if weight is None else weight[v])
             nxt = cand & adj[v]
             meet = common
             if sets is None:
-                self._record(stack)
+                self._record(stack, grown)
             else:
                 meet = common & sets[v]
                 if meet.bit_count() < self.s:
-                    self._record(stack)
+                    self._record(stack, grown)
                 elif nxt & ~self._holders(meet) == 0:
                     # every candidate contains the whole running
                     # intersection, so no extension drops below s
                     nxt = 0
             if nxt:
-                self._collect(stack, nxt, meet)
+                self._collect(stack, grown, nxt, meet)
             stack.pop()
             cand ^= 1 << v
 
-    def _record(self, stack: list[int]) -> None:
-        size = len(stack)
+    def _record(self, stack: list[int], size: int) -> None:
         if size > self.best:
             self.best = size
             self.found = []
@@ -331,16 +449,32 @@ class _CliqueSearch:
                 self._capped = True
 
     def _holders(self, meet: int) -> int:
-        """Members that contain every element of meet."""
+        """Quotient vertices whose members contain every element of meet."""
         out = (1 << self.m) - 1
         for e in elems_of(meet):
             out &= self.members_of[e]
         return out
 
 
-def _star_seed(fam: SetFamily, s: int) -> tuple[int, int] | None:
+def _on_twin_quotient(solve, adj: tuple[int, ...], limits: Limits,
+                      by_degree: bool = True) -> SolveResult:
+    """solve(graph) on the twin quotient of adj.  Every optimum is a
+    union of whole twin classes, so the quotient's maximum-weight cliques
+    are the optima.  A run that exhausts the node budget on a contracted
+    quotient runs again on the member graph, so a partial result is the
+    one the member-level search reaches within the budget; its nodes
+    count both runs."""
+    graph = _twin_quotient(adj, by_degree)
+    res = solve(graph)
+    if graph.weight is None or res.nodes <= limits.node_budget:
+        return res
+    again = solve(_twin_quotient(adj, by_degree, contract=False))
+    return replace(again, nodes=res.nodes + again.nodes)
+
+
+def _star_seed(fam: SetFamily, s: int) -> int | None:
     """The largest full s-star is an s-intersecting subfamily, so its
-    member set warm-starts the clique search."""
+    member mask warm-starts the clique search."""
     size, center = best_full_star(fam, s)
     if size == 0:
         return None
@@ -348,7 +482,7 @@ def _star_seed(fam: SetFamily, s: int) -> tuple[int, int] | None:
     for i, m in enumerate(fam.sets):
         if m & center == center:
             mask |= 1 << i
-    return size, mask
+    return mask
 
 
 def max_s_intersecting(fam: SetFamily, s: int,
@@ -356,24 +490,25 @@ def max_s_intersecting(fam: SetFamily, s: int,
     """Largest s-intersecting subfamily, with a lex-least witness."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    cg = CompatibilityGraph.build(fam, s)
-    rows, perm, pos = _degree_reorder(cg.adj)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(rows, budget)
-    seed = _star_seed(fam, s)
-    if seed is not None:
-        seed = (seed[0], _translate_mask(seed[1], pos))
-    value, mask, hit = search.maximum(seed=seed)
-    partial = tuple(sorted(perm[i] for i in elems_of(mask)))
-    if hit:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True, value_exact=False)
-    try:
-        witness = search.lex_least(value, orig_adj=cg.adj, pos=pos)
-    except _BudgetExceeded:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True)
-    return SolveResult(value=value, witness=witness, nodes=budget.used)
+    star = _star_seed(fam, s)
+
+    def solve(graph: _Quotient) -> SolveResult:
+        budget = _Budget(limits.node_budget)
+        search = _CliqueSearch(graph, budget)
+        seed = None if star is None else graph.contract(star)
+        value, mask, hit = search.maximum(seed=seed)
+        partial = graph.expand(elems_of(mask))
+        if hit:
+            return SolveResult(value=value, witness=partial, nodes=budget.used,
+                               limits_hit=True, value_exact=False)
+        try:
+            witness = search.lex_least(value)
+        except _BudgetExceeded:
+            return SolveResult(value=value, witness=partial, nodes=budget.used,
+                               limits_hit=True)
+        return SolveResult(value=value, witness=witness, nodes=budget.used)
+
+    return _on_twin_quotient(solve, CompatibilityGraph.build(fam, s).adj, limits)
 
 
 def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
@@ -381,31 +516,33 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     """All maximum s-intersecting subfamilies (capped), sorted."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    cg = CompatibilityGraph.build(fam, s)
-    rows, perm, pos = _degree_reorder(cg.adj)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(rows, budget)
-    floor, floor_mask = search._greedy_seed()
-    seed = _star_seed(fam, s)
-    if seed is not None and seed[0] > floor:
-        floor, floor_mask = seed[0], _translate_mask(seed[1], pos)
-    try:
-        raw, capped = search.enumerate_exact(floor, limits.optima_cap)
-    except _BudgetExceeded:
-        best = search.found[0] if search.found else elems_of(floor_mask)
-        return SolveResult(value=search.best, witness=tuple(sorted(perm[i] for i in best)),
-                           nodes=budget.used, limits_hit=True, value_exact=False)
-    optima = sorted(tuple(sorted(perm[i] for i in clique)) for clique in raw)
-    if not capped:
-        return SolveResult(value=search.best, witness=optima[0], all_optima=tuple(optima),
-                           nodes=budget.used)
-    # a capped list is a sample, so the lex-least optimum is certified
-    try:
-        witness = search.lex_least(search.best, orig_adj=cg.adj, pos=pos)
-    except _BudgetExceeded:
-        witness = min(tuple(sorted(perm[i] for i in clique)) for clique in search.found)
-    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=True)
+    star = _star_seed(fam, s)
+
+    def solve(graph: _Quotient) -> SolveResult:
+        budget = _Budget(limits.node_budget)
+        search = _CliqueSearch(graph, budget)
+        floor, floor_mask = search._greedy_seed()
+        seed = None if star is None else graph.contract(star)
+        if seed is not None and seed[0] > floor:
+            floor, floor_mask = seed
+        try:
+            optima, capped = search.enumerate_exact(floor, limits.optima_cap)
+        except _BudgetExceeded:
+            best = search.found[0] if search.found else elems_of(floor_mask)
+            return SolveResult(value=search.best, witness=graph.expand(best),
+                               nodes=budget.used, limits_hit=True, value_exact=False)
+        if not capped:
+            return SolveResult(value=search.best, witness=optima[0],
+                               all_optima=tuple(optima), nodes=budget.used)
+        # a capped list is a sample, so the lex-least optimum is certified
+        try:
+            witness = search.lex_least(search.best)
+        except _BudgetExceeded:
+            witness = min(graph.expand(clique) for clique in search.found)
+        return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
+                           nodes=budget.used, limits_hit=True)
+
+    return _on_twin_quotient(solve, CompatibilityGraph.build(fam, s).adj, limits)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -428,21 +565,11 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
         raise ValueError(f"need s >= 1, got {s}")
     cg = CompatibilityGraph.build(fam, s)
     sets = fam.sets
-    budget = _Budget(limits.node_budget)
     adj = cg.adj
     if enumerate_optima:
-        search = _CliqueSearch(adj, budget, sets=sets, s=s)
-        try:
-            optima, capped = search.enumerate_exact(0, limits.optima_cap)
-        except _BudgetExceeded:
-            witness = search.found[0] if search.found else ()
-            return SolveResult(value=search.best, witness=witness, nodes=budget.used,
-                               limits_hit=True, value_exact=False)
-        if search.best == 0:
-            return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
-        # the least clique collected, before the list is cut to the cap
-        return SolveResult(value=search.best, witness=min(search.found),
-                           all_optima=tuple(optima), nodes=budget.used, limits_hit=capped)
+        return _on_twin_quotient(lambda graph: _nonstar_optima(graph, sets, s, limits),
+                                 adj, limits, by_degree=False)
+    budget = _Budget(limits.node_budget)
     ground_full = (1 << fam.ground) - 1
     state = {"best": 0, "best_stack": ()}
 
@@ -473,6 +600,39 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if best == 0:
         return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
     return SolveResult(value=best, witness=state["best_stack"], nodes=budget.used)
+
+
+def _nonstar_optima(graph: _Quotient, sets: tuple[int, ...], s: int,
+                    limits: Limits) -> SolveResult:
+    """The enumerate_optima pass of max_nonstar_s_intersecting; a
+    quotient vertex stands for the meet of its members."""
+    meets = []
+    for cls in graph.members:
+        meet = -1
+        for v in cls:
+            meet &= sets[v]
+        meets.append(meet)
+    budget = _Budget(limits.node_budget)
+    search = _CliqueSearch(graph, budget, sets=meets, s=s)
+    try:
+        optima, capped = search.enumerate_exact(0, limits.optima_cap)
+    except _BudgetExceeded:
+        witness = graph.expand(search.found[0]) if search.found else ()
+        return SolveResult(value=search.best, witness=witness, nodes=budget.used,
+                           limits_hit=True, value_exact=False)
+    if search.best == 0:
+        return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
+    if not capped:
+        return SolveResult(value=search.best, witness=optima[0], all_optima=tuple(optima),
+                           nodes=budget.used)
+    # a capped list is a sample, so the lex-least non-star optimum is
+    # certified
+    try:
+        witness = search.lex_least(search.best)
+    except _BudgetExceeded:
+        witness = min(graph.expand(clique) for clique in search.found)
+    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
+                       nodes=budget.used, limits_hit=True)
 
 
 def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveResult:
@@ -669,27 +829,30 @@ def max_intersecting_sperner(fam: SetFamily,
             if meet and meet != sets[i] and meet != sets[j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    adj = tuple(rows)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(adj, budget)
-    value, mask, hit = search.maximum()
-    if hit:
-        return SolveResult(value=value, witness=elems_of(mask),
-                           nodes=budget.used, limits_hit=True, value_exact=False)
-    try:
-        optima, capped = search.enumerate_exact(value, limits.optima_cap)
-    except _BudgetExceeded:
-        return SolveResult(value=value, witness=elems_of(mask),
-                           nodes=budget.used, limits_hit=True)
-    uniform = None
-    if not capped:
-        uniform = all(
-            len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
-        )
-    witness = optima[0] if optima else ()
-    return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=capped,
-                       uniform_optima=uniform)
+
+    def solve(graph: _Quotient) -> SolveResult:
+        budget = _Budget(limits.node_budget)
+        search = _CliqueSearch(graph, budget)
+        value, mask, hit = search.maximum()
+        if hit:
+            return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+                               nodes=budget.used, limits_hit=True, value_exact=False)
+        try:
+            optima, capped = search.enumerate_exact(value, limits.optima_cap)
+        except _BudgetExceeded:
+            return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+                               nodes=budget.used, limits_hit=True)
+        uniform = None
+        if not capped:
+            uniform = all(
+                len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
+            )
+        witness = optima[0] if optima else ()
+        return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
+                           nodes=budget.used, limits_hit=capped,
+                           uniform_optima=uniform)
+
+    return _on_twin_quotient(solve, tuple(rows), limits, by_degree=False)
 
 
 def helly_triple_check(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | None]:

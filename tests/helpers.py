@@ -157,6 +157,33 @@ def random_family(seed: int) -> SetFamily:
     return SetFamily(ground=ground, sets=tuple(sorted(sets)), name=f"random({seed})")
 
 
+def twin_family(seed: int) -> SetFamily:
+    """Random cores over a small ground set, each taken once, repeated,
+    or extended by private pendant elements, one per copy (like path
+    families whose paths differ only in the pendant they end at).
+    Repeats and pendant copies of a core with at least s elements are
+    true twins of the s-compatibility graph."""
+    rng = random.Random(seed)
+    core_ground = rng.randint(4, 7)
+    m = rng.randint(4, 14)
+    pendant = core_ground
+    sets: list[int] = []
+    while len(sets) < m:
+        core = mask_of(rng.sample(range(core_ground), rng.randint(1, core_ground - 1)))
+        copies = rng.randint(2, 3)
+        shape = rng.randrange(3)
+        if shape == 0:
+            sets.append(core)
+        elif shape == 1:
+            sets += [core] * copies
+        else:
+            for _ in range(copies):
+                sets.append(core | 1 << pendant)
+                pendant += 1
+    sets = sets[:m]
+    return SetFamily(ground=pendant, sets=tuple(sorted(sets)), name=f"twins({seed})")
+
+
 def naive_matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
     """Anchor scan: does the family equal, for some 3 cycle vertices, the
     set of all r-windows meeting them in exactly two vertices?"""

@@ -1,4 +1,5 @@
 import helpers
+from ekrlab import verdicts
 from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, stats
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
@@ -132,6 +133,15 @@ class TestEnumerateMaximum:
                             sets=tuple(sorted(fam.sets[i] for i in res.witness)))
             assert is_s_intersecting(sub, 1)
 
+    def test_capped_nonstar_witness(self):
+        # a capped non-star list is a sample; the witness is certified
+        fam = path_family(make_cycle(12), 6)
+        full = max_nonstar_s_intersecting(fam, 1, enumerate_optima=True)
+        assert full.witness == (0, 1, 2, 3, 5, 7) and not full.limits_hit
+        for cap in (0, 1, 5):
+            res = max_nonstar_s_intersecting(fam, 1, Limits(optima_cap=cap),
+                                             enumerate_optima=True)
+            assert res.limits_hit and res.witness == full.witness
 
     def test_budget_overrun_keeps_best_known_clique(self):
         fam = path_family(make_sun(8, 2), 4)
@@ -146,9 +156,14 @@ class TestEnumerateMaximum:
 
 def differential_families():
     for seed in range(30):
-        for fam in (helpers.mixed_intersecting_family(seed), helpers.random_family(seed)):
+        for fam in (helpers.mixed_intersecting_family(seed), helpers.random_family(seed),
+                    helpers.twin_family(seed)):
             if len(fam) <= 14:
                 yield fam
+    # pendant twins: paths that differ only in the pendant they end at
+    yield path_family(make_sun(3, 2), 2)
+    yield path_family(make_sun(4, 1), 3)
+    yield path_family(make_sun(5, 1), 3)
     # many tied optima, so every cap below the count bites
     yield path_family(make_cycle(10), 5)
     yield path_family(make_cycle(12), 6)
@@ -176,6 +191,8 @@ class TestOnePassAgainstSubsetScan:
                 assert res.witness == min(optima)
                 assert_cap_semantics(
                     lambda lim: enumerate_maximum_s_intersecting(fam, s, lim), optima, True)
+                res = max_s_intersecting(fam, s)
+                assert (res.value, res.witness) == (value, min(optima)), (fam.name, s)
 
     def test_nonstar_optima(self):
         for fam in differential_families():
@@ -190,15 +207,31 @@ class TestOnePassAgainstSubsetScan:
                 assert res.witness == min(optima)
                 assert_cap_semantics(
                     lambda lim: max_nonstar_s_intersecting(fam, s, lim, enumerate_optima=True),
-                    optima, False)
+                    optima, True)
 
 
 class TestNodeCounts:
     """Node counts are deterministic; a rise means the search tree grew."""
 
     def test_one_pass_enumeration(self):
+        # pendant twins contract: 192 members, 36 weighted quotient vertices
         res = enumerate_maximum_s_intersecting(path_family(make_sun(12, 3), 6), 1)
-        assert res.nodes <= 2701
+        assert res.nodes <= 171
+
+    def test_check_ekr_on_sun_12_4(self, monkeypatch):
+        # 300 members in 36 twin classes; 144,136 nodes without contraction
+        solved = []
+
+        def recording(fam, s, limits):
+            solved.append(enumerate_maximum_s_intersecting(fam, s, limits))
+            return solved[-1]
+
+        monkeypatch.setattr(verdicts, "enumerate_maximum_s_intersecting", recording)
+        v = verdicts.check_ekr(make_sun(12, 4), "uniform", 6, 1)
+        assert v.brute_value == 110 and v.value_exact and not v.limits_hit
+        assert v.classification == "star" and v.is_strict
+        [res] = solved
+        assert len(res.all_optima) == 12 and res.nodes <= 171
 
     def test_nonstar_enumeration(self):
         # the cap counts non-star optima only: all 312 fit under 400

@@ -132,6 +132,13 @@ class TestCheckHm:
         assert v.limits_hit and v.value_exact and v.brute_value == 3
         assert v.classification == "unknown"
 
+    def test_capped_optima_keep_the_lex_least_witness(self):
+        full = check_hm(make_cycle(12), 6)
+        assert full.witnesses["optimum"][0] == [0, 1, 2, 3, 4, 5]
+        for cap in (0, 1, 5):
+            capped = check_hm(make_cycle(12), 6, Limits(optima_cap=cap))
+            assert capped.limits_hit and capped.witnesses == full.witnesses
+
     def test_requires_cycle(self):
         with pytest.raises(GraphError):
             check_hm(make_sun(6, 1), 3)
