@@ -14,9 +14,7 @@ clique.  Every optimum is therefore a union of whole classes, and the
 optima are exactly the maximum-weight cliques of the quotient.  There
 the coloring bound sums the heaviest weight in each color class (the
 weighted coloring bound for maximum-weight clique); without twins the
-search is the plain one.  Node counts count quotient vertices.  A run
-that exhausts its node budget on a contracted quotient runs again on
-the member graph.
+search is the plain one.  Node counts count quotient vertices.
 
 Searches for the maximum order the quotient vertices by descending
 degree (dense compatibility graphs are near-trivial in that order and
@@ -42,7 +40,7 @@ state rather than a silent answer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .families import SetFamily, best_full_star, elems_of
 
@@ -223,16 +221,16 @@ class _Quotient:
         return sum(len(self.members[q]) for q in elems_of(out)), out
 
 
-def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True,
-                   contract: bool = True) -> _Quotient:
-    """Contract the true twins of adj (without contract, every vertex is
-    its own class).  With by_degree the quotient vertices are ordered by
+def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True) -> _Quotient:
+    """Contract the true twins of adj.  Every optimum is a union of whole
+    twin classes, so the quotient's maximum-weight cliques are the
+    optima.  With by_degree the quotient vertices are ordered by
     descending degree (ties: least member), the order in which dense
     compatibility graphs are near-trivial and member order is
     pathological; otherwise by least member."""
     classes: dict[int, list[int]] = {}
     for v, row in enumerate(adj):
-        classes.setdefault(row | 1 << v if contract else v, []).append(v)
+        classes.setdefault(row | 1 << v, []).append(v)
     members = list(classes.values())
     degree = [row.bit_count() for row in adj]
     if by_degree:
@@ -456,22 +454,6 @@ class _CliqueSearch:
         return out
 
 
-def _on_twin_quotient(solve, adj: tuple[int, ...], limits: Limits,
-                      by_degree: bool = True) -> SolveResult:
-    """solve(graph) on the twin quotient of adj.  Every optimum is a
-    union of whole twin classes, so the quotient's maximum-weight cliques
-    are the optima.  A run that exhausts the node budget on a contracted
-    quotient runs again on the member graph, so a partial result is the
-    one the member-level search reaches within the budget; its nodes
-    count both runs."""
-    graph = _twin_quotient(adj, by_degree)
-    res = solve(graph)
-    if graph.weight is None or res.nodes <= limits.node_budget:
-        return res
-    again = solve(_twin_quotient(adj, by_degree, contract=False))
-    return replace(again, nodes=res.nodes + again.nodes)
-
-
 def _star_seed(fam: SetFamily, s: int) -> int | None:
     """The largest full s-star is an s-intersecting subfamily, so its
     member mask warm-starts the clique search."""
@@ -491,24 +473,21 @@ def max_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     star = _star_seed(fam, s)
-
-    def solve(graph: _Quotient) -> SolveResult:
-        budget = _Budget(limits.node_budget)
-        search = _CliqueSearch(graph, budget)
-        seed = None if star is None else graph.contract(star)
-        value, mask, hit = search.maximum(seed=seed)
-        partial = graph.expand(elems_of(mask))
-        if hit:
-            return SolveResult(value=value, witness=partial, nodes=budget.used,
-                               limits_hit=True, value_exact=False)
-        try:
-            witness = search.lex_least(value)
-        except _BudgetExceeded:
-            return SolveResult(value=value, witness=partial, nodes=budget.used,
-                               limits_hit=True)
-        return SolveResult(value=value, witness=witness, nodes=budget.used)
-
-    return _on_twin_quotient(solve, CompatibilityGraph.build(fam, s).adj, limits)
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    budget = _Budget(limits.node_budget)
+    search = _CliqueSearch(graph, budget)
+    seed = None if star is None else graph.contract(star)
+    value, mask, hit = search.maximum(seed=seed)
+    partial = graph.expand(elems_of(mask))
+    if hit:
+        return SolveResult(value=value, witness=partial, nodes=budget.used,
+                           limits_hit=True, value_exact=False)
+    try:
+        witness = search.lex_least(value)
+    except _BudgetExceeded:
+        return SolveResult(value=value, witness=partial, nodes=budget.used,
+                           limits_hit=True)
+    return SolveResult(value=value, witness=witness, nodes=budget.used)
 
 
 def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
@@ -517,32 +496,29 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     star = _star_seed(fam, s)
-
-    def solve(graph: _Quotient) -> SolveResult:
-        budget = _Budget(limits.node_budget)
-        search = _CliqueSearch(graph, budget)
-        floor, floor_mask = search._greedy_seed()
-        seed = None if star is None else graph.contract(star)
-        if seed is not None and seed[0] > floor:
-            floor, floor_mask = seed
-        try:
-            optima, capped = search.enumerate_exact(floor, limits.optima_cap)
-        except _BudgetExceeded:
-            best = search.found[0] if search.found else elems_of(floor_mask)
-            return SolveResult(value=search.best, witness=graph.expand(best),
-                               nodes=budget.used, limits_hit=True, value_exact=False)
-        if not capped:
-            return SolveResult(value=search.best, witness=optima[0],
-                               all_optima=tuple(optima), nodes=budget.used)
-        # a capped list is a sample, so the lex-least optimum is certified
-        try:
-            witness = search.lex_least(search.best)
-        except _BudgetExceeded:
-            witness = min(graph.expand(clique) for clique in search.found)
-        return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                           nodes=budget.used, limits_hit=True)
-
-    return _on_twin_quotient(solve, CompatibilityGraph.build(fam, s).adj, limits)
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    budget = _Budget(limits.node_budget)
+    search = _CliqueSearch(graph, budget)
+    floor, floor_mask = search._greedy_seed()
+    seed = None if star is None else graph.contract(star)
+    if seed is not None and seed[0] > floor:
+        floor, floor_mask = seed
+    try:
+        optima, capped = search.enumerate_exact(floor, limits.optima_cap)
+    except _BudgetExceeded:
+        best = search.found[0] if search.found else elems_of(floor_mask)
+        return SolveResult(value=search.best, witness=graph.expand(best),
+                           nodes=budget.used, limits_hit=True, value_exact=False)
+    if not capped:
+        return SolveResult(value=search.best, witness=optima[0],
+                           all_optima=tuple(optima), nodes=budget.used)
+    # a capped list is a sample, so the lex-least optimum is certified
+    try:
+        witness = search.lex_least(search.best)
+    except _BudgetExceeded:
+        witness = min(graph.expand(clique) for clique in search.found)
+    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
+                       nodes=budget.used, limits_hit=True)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -567,8 +543,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     sets = fam.sets
     adj = cg.adj
     if enumerate_optima:
-        return _on_twin_quotient(lambda graph: _nonstar_optima(graph, sets, s, limits),
-                                 adj, limits, by_degree=False)
+        return _nonstar_optima(_twin_quotient(adj, by_degree=False), sets, s, limits)
     budget = _Budget(limits.node_budget)
     ground_full = (1 << fam.ground) - 1
     state = {"best": 0, "best_stack": ()}
@@ -829,30 +804,27 @@ def max_intersecting_sperner(fam: SetFamily,
             if meet and meet != sets[i] and meet != sets[j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-
-    def solve(graph: _Quotient) -> SolveResult:
-        budget = _Budget(limits.node_budget)
-        search = _CliqueSearch(graph, budget)
-        value, mask, hit = search.maximum()
-        if hit:
-            return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
-                               nodes=budget.used, limits_hit=True, value_exact=False)
-        try:
-            optima, capped = search.enumerate_exact(value, limits.optima_cap)
-        except _BudgetExceeded:
-            return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
-                               nodes=budget.used, limits_hit=True)
-        uniform = None
-        if not capped:
-            uniform = all(
-                len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
-            )
-        witness = optima[0] if optima else ()
-        return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
-                           nodes=budget.used, limits_hit=capped,
-                           uniform_optima=uniform)
-
-    return _on_twin_quotient(solve, tuple(rows), limits, by_degree=False)
+    graph = _twin_quotient(tuple(rows), by_degree=False)
+    budget = _Budget(limits.node_budget)
+    search = _CliqueSearch(graph, budget)
+    value, mask, hit = search.maximum()
+    if hit:
+        return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+                           nodes=budget.used, limits_hit=True, value_exact=False)
+    try:
+        optima, capped = search.enumerate_exact(value, limits.optima_cap)
+    except _BudgetExceeded:
+        return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+                           nodes=budget.used, limits_hit=True)
+    uniform = None
+    if not capped:
+        uniform = all(
+            len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
+        )
+    witness = optima[0] if optima else ()
+    return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
+                       nodes=budget.used, limits_hit=capped,
+                       uniform_optima=uniform)
 
 
 def helly_triple_check(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | None]:

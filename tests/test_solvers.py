@@ -64,10 +64,11 @@ class TestMaxIntersecting:
         assert res.value == 0 and res.witness == ()
 
     def test_node_budget_is_explicit(self):
-        fam = path_family(make_sun(8, 2), 4)
-        res = max_s_intersecting(fam, 1, Limits(node_budget=5))
+        # twin-free, so the maximum search itself needs more than 5 nodes
+        fam = path_family(make_sun(14, 3), 7)
+        res = max_s_intersecting(fam, 2, Limits(node_budget=5))
         assert res.limits_hit and not res.value_exact
-        true_value = max_s_intersecting(fam, 1).value
+        true_value = max_s_intersecting(fam, 2).value
         assert res.value <= true_value
 
     def test_dense_all_paths_families(self):
