@@ -13,7 +13,7 @@ from .graphs import GraphError, ParseError, emit_graph, make_cycle, \
     make_random_tree, make_sun, make_theta, parse_graph
 from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
-from .projective import FieldError, build_pg, emit_pg_map, make_field, \
+from .projective import FieldError, build_pg, emit_pg_map, field_of_order, \
     triangular_char2, triangular_odd
 from .solvers import Limits, helly_triple_check, max_intersecting_sperner, \
     max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
@@ -122,22 +122,7 @@ def _cmd_check_hm(args: argparse.Namespace) -> int:
 
 
 def _cmd_pg(args: argparse.Namespace) -> int:
-    spec = None
-    q = args.q
-    for p in range(2, q + 1):
-        k = 0
-        qq = 1
-        while qq < q:
-            qq *= p
-            k += 1
-        if qq == q and k >= 1:
-            try:
-                spec = make_field(p, k)
-            except FieldError:
-                pass
-            break
-    if spec is None:
-        raise FieldError(f"{q} is not a prime power")
+    spec = field_of_order(args.q)
     plane = build_pg(spec)
     _write(emit_family(plane.lines), args.out)
     if args.map_out:

@@ -10,6 +10,7 @@ encoded as the int q; dense point ids follow the fixed layout
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,11 +177,36 @@ def make_field(p: int, k: int) -> FieldSpec:
             raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
+def field_of_order(q: int) -> FieldSpec:
+    """GF(q) as make_field builds it; FieldError unless q is a prime
+    power."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest == 1:
+            return make_field(p, k)
+    raise FieldError(f"{q} is not a prime power")
+
+
 def sqrt_char2(spec: FieldSpec, x: int) -> int:
     """The unique square root in characteristic 2: x^(2^(k-1))."""
     if spec.p != 2:
         raise FieldError(f"square roots are unique only for p=2, got p={spec.p}")
     return spec.pow(x, 2 ** (spec.k - 1))
+
+
+def point_id(q: int, x: int, y: int) -> int:
+    """Dense id of the point (x,y) of the plane of order q, w as q."""
+    if x < q and y < q:
+        return x * q + y
+    if x == q and y < q:
+        return q * q + y
+    if x == q and y == q:
+        return q * q + q
+    raise ValueError(f"({x},{y}) is not a point index for q={q}")
 
 
 @dataclass(frozen=True)
@@ -196,14 +222,7 @@ class PGPlane:
         return self.spec.q
 
     def point_id(self, x: int, y: int) -> int:
-        q = self.q
-        if x < q and y < q:
-            return x * q + y
-        if x == q and y < q:
-            return q * q + y
-        if x == q and y == q:
-            return q * q + q
-        raise ValueError(f"({x},{y}) is not a point index for q={q}")
+        return point_id(self.q, x, y)
 
     def point_name(self, pid: int) -> str:
         q = self.q
@@ -223,27 +242,19 @@ def build_pg(spec: FieldSpec) -> PGPlane:
         raise FieldError(f"plane order capped at {MAX_PG_ORDER}, got {q}")
     masks = []
     index: list[tuple[int, int]] = []
-
-    def pid(x: int, y: int) -> int:
-        if x < q and y < q:
-            return x * q + y
-        if x == q and y < q:
-            return q * q + y
-        return q * q + q
-
     for m in range(q):
         for b in range(q):
-            pts = [pid(x, spec.add(spec.mul(m, x), b)) for x in range(q)]
-            pts.append(pid(q, m))
+            pts = [point_id(q, x, spec.add(spec.mul(m, x), b)) for x in range(q)]
+            pts.append(point_id(q, q, m))
             masks.append(mask_of(pts))
             index.append((m, b))
     for b in range(q):
-        pts = [pid(b, y) for y in range(q)]
-        pts.append(pid(q, q))
+        pts = [point_id(q, b, y) for y in range(q)]
+        pts.append(point_id(q, q, q))
         masks.append(mask_of(pts))
         index.append((q, b))
-    pts = [pid(q, y) for y in range(q)]
-    pts.append(pid(q, q))
+    pts = [point_id(q, q, y) for y in range(q)]
+    pts.append(point_id(q, q, q))
     masks.append(mask_of(pts))
     index.append((q, q))
 

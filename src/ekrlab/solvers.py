@@ -1,30 +1,35 @@
 """Exact optimizers over subfamilies of a set family.
 
-Maximum s-intersecting subfamily search is a maximum clique problem on
-the compatibility graph (members adjacent when they meet in >= s
-elements), solved by branch and bound with a greedy coloring bound.
+One clique core runs every clique-shaped search: branch and bound on the
+compatibility graph (members adjacent when they meet in >= s elements)
+with a greedy coloring bound, in one of three modes:
 
-Every clique search runs on the twin quotient of its graph: members
-with equal closed neighbourhoods (N[u] = N[v], e.g. paths that differ
-only in the pendant they end at) form one vertex weighted by the class
-size.  If N[u] = N[v], a maximum clique holding u also holds v: adding
-v keeps it a clique and makes it larger.  Adding a member only shrinks
-the common intersection, so the same holds for a maximum non-star
-clique.  Every optimum is therefore a union of whole classes, and the
-optima are exactly the maximum-weight cliques of the quotient.  There
-the coloring bound sums the heaviest weight in each color class (the
-weighted coloring bound for maximum-weight clique); without twins the
-search is the plain one.  Node counts count quotient vertices.
+- plain: maximum s-intersecting and intersecting Sperner subfamilies;
+- non-star: a hook carries the running intersection and counts a clique
+  only when its members share fewer than s elements;
+- degree <= 2 (triangular): a hook drops every candidate that would put
+  an element in a third member.
 
-Searches for the maximum order the quotient vertices by descending
-degree (dense compatibility graphs are near-trivial in that order and
-pathological in member order); default witnesses are recomputed in
-family order by a deterministic certification pass that takes or drops
-a whole class at a time.  Optima enumeration is a single pass: it
-starts from the weight of a known clique and collects every maximum
-clique while its threshold rises, so the maximum s-intersecting and
-maximum non-star enumerations run no separate maximum search, and their
-witness is the least optimum (certified when the list is capped).
+The plain and non-star searches run on the twin quotient of the graph:
+members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
+differ only in the pendant they end at) form one vertex weighted by the
+class size.  A maximum clique, plain or non-star, that holds u also
+holds v (adding v keeps it a clique, makes it larger and only shrinks
+the common intersection), so the optima are exactly the maximum-weight
+cliques of the quotient, where the coloring bound sums the heaviest
+weight in each color class.  A degree cap can split a twin class, so the
+triangular search keeps one vertex per member.  Node counts count
+quotient vertices.
+
+The plain and non-star maximum searches order the quotient vertices by
+descending degree (dense compatibility graphs are near-trivial in that
+order and pathological in member order).  A maximum search's witness is
+recomputed in family order by a deterministic certification pass that
+takes or drops a whole class at a time, so it is the lex-least optimum.
+Optima enumeration is a single pass: it starts from the weight of a
+known clique and collects every maximum clique while its threshold
+rises, so it runs no separate maximum search (its witness is certified
+when the list is capped).
 
 Transversals use hitting-set branch and bound on a minimum uncovered
 member with two lower bounds: a greedy packing of pairwise-disjoint
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .families import SetFamily, best_full_star, elems_of
 
@@ -247,63 +254,119 @@ def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
     return holders
 
 
+class _Hook:
+    """A per-node rule of a constrained clique search: step(state, v,
+    cand) adds v to a clique whose hook state is state, with cand its
+    candidates cut to v's neighbours, and returns the candidates that
+    stay feasible, the new state and whether the grown clique counts.
+    sets[q] is the meet of quotient vertex q's members, holders[e] the
+    quotient vertices whose meet holds element e."""
+
+    def __init__(self, graph: _Quotient, sets: tuple[int, ...]) -> None:
+        self.sets = [reduce(and_, [sets[v] for v in cls]) for cls in graph.members]
+        self.holders = _holder_masks(self.sets)
+
+
+class _NonStarHook(_Hook):
+    """A clique counts when its members share fewer than s elements; the
+    state is their running intersection.  Once every candidate holds the
+    whole running intersection, no extension drops below s, so the
+    candidates go."""
+
+    root = -1
+
+    def __init__(self, graph: _Quotient, sets: tuple[int, ...], s: int) -> None:
+        super().__init__(graph, sets)
+        self.s = s
+
+    def step(self, common: int, v: int, cand: int) -> tuple[int, int, bool]:
+        meet = common & self.sets[v]
+        if meet.bit_count() < self.s:
+            return cand, meet, True
+        held = cand
+        for e in elems_of(meet):
+            held &= self.holders[e]
+        return (0 if held == cand else cand), meet, False
+
+
+class _DegreeCapHook(_Hook):
+    """Every clique counts, but each element lies in at most two of its
+    members.  The state is the elements in at least one chosen member;
+    an element that v puts in a second one is full, so its holders leave
+    the candidates, and no candidate ever meets a full element."""
+
+    root = 0
+
+    def step(self, once: int, v: int, cand: int) -> tuple[int, int, bool]:
+        mask = self.sets[v]
+        for e in elems_of(once & mask):
+            cand &= ~self.holders[e]
+        return cand, once | mask, True
+
+
 class _CliqueSearch:
     """Branch and bound core shared by the clique-shaped operations.
 
-    It runs on a twin quotient: sizes are weights (class sizes), counted
-    with weighted coloring bounds when some class has more than one
-    member and with the plain class count otherwise, and cliques are
-    sets of quotient vertices.  sets and s switch on the non-star hook
-    of enumerate_exact and exists: sets[q] is the meet of the members of
-    quotient vertex q, and a clique counts only when its members share
-    fewer than s elements."""
+    It runs on a quotient: sizes are weights (class sizes), with weighted
+    coloring bounds when some class has more than one member, and
+    cliques are sets of quotient vertices.  An optional hook trims the
+    candidates and says which cliques count; the coloring bound stays
+    valid for those.  Unhooked searches make no per-node hook call."""
 
-    def __init__(self, graph: _Quotient, budget: _Budget,
-                 sets: list[int] | None = None, s: int = 0) -> None:
+    def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
+        self.hook = hook
         self.best = 0
         self.best_mask = 0
-        self.sets = sets
-        self.s = s
-        if sets is not None:
-            self.members_of = _holder_masks(sets)
 
     def maximum(self, stop_at: int | None = None,
                 seed: tuple[int, int] | None = None) -> tuple[int, int, bool]:
-        """(weight, quotient mask, limits_hit); partial best survives a
-        budget overrun.  seed is a known clique (weight, quotient mask)
-        used as a warm lower bound."""
-        self.best, self.best_mask = self._greedy_seed()
-        if seed is not None and seed[0] > self.best:
-            self.best, self.best_mask = seed
+        """(weight, quotient mask, limits_hit) of a heaviest clique that
+        counts; partial best survives a budget overrun.  seed is a known
+        clique (weight, quotient mask) used as a warm lower bound; the
+        search stops once it holds a clique of weight stop_at."""
+        self.best, self.best_mask = self._greedy_seed(seed)
         self._stop_at = stop_at
         full = (1 << self.m) - 1
         hit = False
         try:
-            if full:
+            if self.hook is None:
                 self._expand(0, 0, full)
+            else:
+                self._expand_hooked(0, 0, full, self.hook.root)
         except _BudgetExceeded:
             hit = True
         return self.best, self.best_mask, hit
 
-    def _greedy_seed(self) -> tuple[int, int]:
-        """Degree-greedy clique, degrees counting members; a warm lower
-        bound for the search."""
-        adj, weight, degree = self.adj, self.weight, self.graph.degree
+    def _greedy_seed(self, seed: tuple[int, int] | None = None) -> tuple[int, int]:
+        """The heavier of seed and a degree-greedy clique (degrees
+        counting members) as (weight, quotient mask); a warm lower bound
+        for the search.  With a hook on, the greedy takes only candidates
+        the hook keeps, and its clique is its heaviest prefix that counts
+        ((0, 0) when none does)."""
+        adj, weight, degree, hook = self.adj, self.weight, self.graph.degree, self.hook
         order = sorted(range(self.m), key=lambda v: (-degree[v], v))
         mask = 0
         size = 0
+        best = (0, 0)
         cand = (1 << self.m) - 1
+        state = None if hook is None else hook.root
         for v in order:
             if (cand >> v) & 1:
                 mask |= 1 << v
                 size += 1 if weight is None else weight[v]
-                cand &= adj[v]
-        return size, mask
+                counts = True
+                if hook is None:
+                    cand &= adj[v]
+                else:
+                    cand, state, counts = hook.step(state, v, cand & adj[v])
+                if counts:
+                    best = (size, mask)
+        return seed if seed is not None and seed[0] > best[0] else best
 
     def _expand(self, rmask: int, rsize: int, cand: int) -> None:
         adj, weight = self.adj, self.weight
@@ -326,19 +389,39 @@ class _CliqueSearch:
                 self._expand(rmask | bit, size, nxt)
             cand ^= bit
 
-    def exists(self, cand: int, need: int, common: int = -1) -> bool:
+    def _expand_hooked(self, rmask: int, rsize: int, cand: int, state) -> None:
+        """_expand with the hook on: a clique becomes the best only when
+        it counts, and the hook trims the candidates of each child."""
+        adj, weight, step = self.adj, self.weight, self.hook.step
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
+        for i in range(len(order) - 1, -1, -1):
+            if rsize + bounds[i] <= self.best:
+                return
+            if self._stop_at is not None and self.best >= self._stop_at:
+                return
+            v = order[i]
+            bit = 1 << v
+            self.budget.spend()
+            size = rsize + (1 if weight is None else weight[v])
+            nxt, inner, counts = step(state, v, cand & adj[v])
+            if counts and size > self.best:
+                self.best = size
+                self.best_mask = rmask | bit
+            if nxt:
+                self._expand_hooked(rmask | bit, size, nxt, inner)
+            cand ^= bit
+
+    def exists(self, cand: int, need: int, state=None, counts: bool = True) -> bool:
         """Decision variant: is there a clique of weight need inside cand?
-        With the non-star hook on, the clique must also bring the running
-        intersection common below s elements.  need always completes a
-        maximum, so no clique that counts weighs more: a vertex that
-        reaches need answers yes, and the hooked search skips a vertex
-        that overshoots it."""
-        hooked = self.sets is not None
+        With a hook on, state is the hook's state of the clique taken so
+        far, counts whether that clique counts, and the clique found must
+        count too.  need always completes a maximum, so no clique that
+        counts weighs more: a vertex that reaches need answers yes, and
+        the hooked search skips a vertex that overshoots it."""
         if need <= 0:
-            return not hooked or common.bit_count() < self.s
-        if hooked and common.bit_count() >= self.s and cand & ~self._holders(common) == 0:
-            return False
-        adj, sets, weight = self.adj, self.sets, self.weight
+            return counts
+        adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
@@ -347,27 +430,29 @@ class _CliqueSearch:
             v = order[i]
             self.budget.spend()
             rest = need - (1 if weight is None else weight[v])
-            if not hooked:
+            if hook is None:
                 if rest <= 0 or self.exists(cand & adj[v], rest):
                     return True
-            elif rest >= 0 and self.exists(cand & adj[v], rest, common & sets[v]):
-                return True
+            elif rest >= 0:
+                nxt, inner, ok = hook.step(state, v, cand & adj[v])
+                if self.exists(nxt, rest, inner, ok):
+                    return True
             cand ^= 1 << v
         return False
 
     def lex_least(self, size: int) -> tuple[int, ...]:
         """Deterministic certification pass: the lexicographically least
-        clique of weight size under the family's index order (a non-star
-        one with the hook on), as sorted member indices.
+        clique of weight size that counts, under the family's index
+        order, as sorted member indices.
 
-        Every optimum is a union of whole twin classes, and the least
+        Every optimum is a union of whole quotient classes, and the least
         member of the first class where two optima differ decides their
         order, so the pass tries the quotient vertices by least member
         and takes or drops a whole class at once."""
-        adj, sets, weight = self.adj, self.sets, self.weight
+        adj, weight, hook = self.adj, self.weight, self.hook
         chosen: list[int] = []
         cand = (1 << self.m) - 1
-        common = -1
+        state = None if hook is None else hook.root
         left = size
         for q in self.graph.lex():
             if left <= 0:
@@ -375,11 +460,11 @@ class _CliqueSearch:
             if not (cand >> q) & 1:
                 continue
             rest = left - (1 if weight is None else weight[q])
-            nxt = cand & adj[q]
-            meet = common if sets is None else common & sets[q]
-            if rest >= 0 and self.exists(nxt, rest, meet):
+            nxt, inner, counts = (cand & adj[q], state, True) if hook is None \
+                else hook.step(state, q, cand & adj[q])
+            if rest >= 0 and self.exists(nxt, rest, inner, counts):
                 chosen.append(q)
-                cand, left, common = nxt, rest, meet
+                cand, left, state = nxt, rest, inner
             else:
                 cand ^= 1 << q
         if left > 0:
@@ -387,28 +472,27 @@ class _CliqueSearch:
         return self.graph.expand(chosen)
 
     def enumerate_exact(self, floor: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-        """Every maximum clique, as sorted member indices, in one pass;
-        capped.
+        """Every maximum clique that counts, as sorted member indices, in
+        one pass; capped.
 
         floor is the weight of a known clique (0 when none is known).  The
         threshold moves up as heavier cliques turn up: cliques of the
         current best weight are collected, and a heavier one resets the
         list.  Once more than cap are held, only a heavier clique can
-        matter, so the search prunes on <= best until one turns up.
-        With the non-star hook on, only cliques whose members share
-        fewer than s elements count.  On a budget overrun the partial
-        state stays in best and found (quotient vertices)."""
+        matter, so the search prunes on <= best until one turns up.  On a
+        budget overrun the partial state stays in best and found
+        (quotient vertices)."""
         self.best = floor
         self.found: list[tuple[int, ...]] = []
         self._cap = cap
         self._capped = False
         if self.m == 0:
             return [()], False
-        self._collect([], 0, (1 << self.m) - 1, -1)
+        self._collect([], 0, (1 << self.m) - 1, None if self.hook is None else self.hook.root)
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
-    def _collect(self, stack: list[int], size: int, cand: int, common: int) -> None:
-        adj, sets, weight = self.adj, self.sets, self.weight
+    def _collect(self, stack: list[int], size: int, cand: int, state) -> None:
+        adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
@@ -420,19 +504,15 @@ class _CliqueSearch:
             stack.append(v)
             grown = size + (1 if weight is None else weight[v])
             nxt = cand & adj[v]
-            meet = common
-            if sets is None:
+            inner = state
+            if hook is None:
                 self._record(stack, grown)
             else:
-                meet = common & sets[v]
-                if meet.bit_count() < self.s:
+                nxt, inner, counts = hook.step(state, v, nxt)
+                if counts:
                     self._record(stack, grown)
-                elif nxt & ~self._holders(meet) == 0:
-                    # every candidate contains the whole running
-                    # intersection, so no extension drops below s
-                    nxt = 0
             if nxt:
-                self._collect(stack, grown, nxt, meet)
+                self._collect(stack, grown, nxt, inner)
             stack.pop()
             cand ^= 1 << v
 
@@ -446,17 +526,10 @@ class _CliqueSearch:
             if len(self.found) > self._cap:
                 self._capped = True
 
-    def _holders(self, meet: int) -> int:
-        """Quotient vertices whose members contain every element of meet."""
-        out = (1 << self.m) - 1
-        for e in elems_of(meet):
-            out &= self.members_of[e]
-        return out
 
-
-def _star_seed(fam: SetFamily, s: int) -> int | None:
-    """The largest full s-star is an s-intersecting subfamily, so its
-    member mask warm-starts the clique search."""
+def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:
+    """The largest full s-star is an s-intersecting subfamily, so it
+    warm-starts the clique search: (weight, quotient mask), or None."""
     size, center = best_full_star(fam, s)
     if size == 0:
         return None
@@ -464,21 +537,16 @@ def _star_seed(fam: SetFamily, s: int) -> int | None:
     for i, m in enumerate(fam.sets):
         if m & center == center:
             mask |= 1 << i
-    return mask
+    return graph.contract(mask)
 
 
-def max_s_intersecting(fam: SetFamily, s: int,
-                       limits: Limits = DEFAULT_LIMITS) -> SolveResult:
-    """Largest s-intersecting subfamily, with a lex-least witness."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    star = _star_seed(fam, s)
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(graph, budget)
-    seed = None if star is None else graph.contract(star)
-    value, mask, hit = search.maximum(seed=seed)
-    partial = graph.expand(elems_of(mask))
+def _certified_maximum(search: _CliqueSearch, stop_at: int | None = None,
+                       seed: tuple[int, int] | None = None) -> SolveResult:
+    """maximum() and then the lex-least certification of its value; on a
+    budget overrun the best clique found so far is the witness."""
+    value, mask, hit = search.maximum(stop_at, seed)
+    budget = search.budget
+    partial = search.graph.expand(elems_of(mask))
     if hit:
         return SolveResult(value=value, witness=partial, nodes=budget.used,
                            limits_hit=True, value_exact=False)
@@ -490,35 +558,46 @@ def max_s_intersecting(fam: SetFamily, s: int,
     return SolveResult(value=value, witness=witness, nodes=budget.used)
 
 
-def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
-                                     limits: Limits = DEFAULT_LIMITS) -> SolveResult:
-    """All maximum s-intersecting subfamilies (capped), sorted."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    star = _star_seed(fam, s)
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(graph, budget)
-    floor, floor_mask = search._greedy_seed()
-    seed = None if star is None else graph.contract(star)
-    if seed is not None and seed[0] > floor:
-        floor, floor_mask = seed
+def _enumerated(search: _CliqueSearch, floor: tuple[int, int], cap: int) -> SolveResult:
+    """enumerate_exact() from a known clique floor (weight, quotient
+    mask); a capped list is a sample, so its witness is certified."""
+    graph, budget = search.graph, search.budget
     try:
-        optima, capped = search.enumerate_exact(floor, limits.optima_cap)
+        optima, capped = search.enumerate_exact(floor[0], cap)
     except _BudgetExceeded:
-        best = search.found[0] if search.found else elems_of(floor_mask)
+        best = search.found[0] if search.found else elems_of(floor[1])
         return SolveResult(value=search.best, witness=graph.expand(best),
                            nodes=budget.used, limits_hit=True, value_exact=False)
     if not capped:
-        return SolveResult(value=search.best, witness=optima[0],
+        return SolveResult(value=search.best, witness=optima[0] if optima else (),
                            all_optima=tuple(optima), nodes=budget.used)
-    # a capped list is a sample, so the lex-least optimum is certified
     try:
         witness = search.lex_least(search.best)
     except _BudgetExceeded:
         witness = min(graph.expand(clique) for clique in search.found)
     return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
                        nodes=budget.used, limits_hit=True)
+
+
+def max_s_intersecting(fam: SetFamily, s: int,
+                       limits: Limits = DEFAULT_LIMITS) -> SolveResult:
+    """Largest s-intersecting subfamily, with a lex-least witness."""
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    search = _CliqueSearch(graph, _Budget(limits.node_budget))
+    return _certified_maximum(search, seed=_star_seed(fam, s, graph))
+
+
+def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
+                                     limits: Limits = DEFAULT_LIMITS) -> SolveResult:
+    """All maximum s-intersecting subfamilies (capped), sorted."""
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    search = _CliqueSearch(graph, _Budget(limits.node_budget))
+    return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
+                       limits.optima_cap)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -526,88 +605,28 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
                                enumerate_optima: bool = False,
                                upper_hint: int | None = None) -> SolveResult:
     """Largest s-intersecting subfamily whose common intersection has
-    fewer than s elements.
+    fewer than s elements, with a lex-least witness.
 
-    The plain clique bound is a valid relaxation; the non-star condition
-    is checked as the subfamily grows, and once the running intersection
-    drops below s elements every extension stays feasible.  Any nonempty
-    s-intersecting family of at most two members is automatically an
-    s-star, so infeasible means no subfamily qualifies at all.  With
-    enumerate_optima the value and the optima come from one collecting
-    pass that counts non-star cliques only, so the optima cap counts
-    non-star optima.
+    The clique search runs with the non-star hook.  Any nonempty
+    s-intersecting family of at most two members is an s-star, so
+    infeasible means no subfamily qualifies at all.  upper_hint, a known
+    upper bound on the value, stops the search once a clique reaches it.
+    With enumerate_optima the value and the optima come from one
+    collecting pass, so the optima cap counts non-star optima.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    cg = CompatibilityGraph.build(fam, s)
-    sets = fam.sets
-    adj = cg.adj
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj,
+                           by_degree=not enumerate_optima)
+    search = _CliqueSearch(graph, _Budget(limits.node_budget),
+                           _NonStarHook(graph, fam.sets, s))
     if enumerate_optima:
-        return _nonstar_optima(_twin_quotient(adj, by_degree=False), sets, s, limits)
-    budget = _Budget(limits.node_budget)
-    ground_full = (1 << fam.ground) - 1
-    state = {"best": 0, "best_stack": ()}
-
-    def expand(stack: list[int], common: int, cand: int) -> None:
-        order, bounds = _color_order(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(stack) + bounds[i] <= state["best"]:
-                return
-            if upper_hint is not None and state["best"] >= upper_hint:
-                return
-            v = order[i]
-            budget.spend()
-            stack.append(v)
-            new_common = common & sets[v]
-            if new_common.bit_count() < s and len(stack) > state["best"]:
-                state["best"] = len(stack)
-                state["best_stack"] = tuple(sorted(stack))
-            expand(stack, new_common, cand & adj[v])
-            stack.pop()
-            cand ^= 1 << v
-
-    try:
-        expand([], ground_full, (1 << cg.m) - 1)
-    except _BudgetExceeded:
-        return SolveResult(value=state["best"], witness=state["best_stack"],
-                           nodes=budget.used, limits_hit=True, value_exact=False)
-    best = state["best"]
-    if best == 0:
-        return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
-    return SolveResult(value=best, witness=state["best_stack"], nodes=budget.used)
-
-
-def _nonstar_optima(graph: _Quotient, sets: tuple[int, ...], s: int,
-                    limits: Limits) -> SolveResult:
-    """The enumerate_optima pass of max_nonstar_s_intersecting; a
-    quotient vertex stands for the meet of its members."""
-    meets = []
-    for cls in graph.members:
-        meet = -1
-        for v in cls:
-            meet &= sets[v]
-        meets.append(meet)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(graph, budget, sets=meets, s=s)
-    try:
-        optima, capped = search.enumerate_exact(0, limits.optima_cap)
-    except _BudgetExceeded:
-        witness = graph.expand(search.found[0]) if search.found else ()
-        return SolveResult(value=search.best, witness=witness, nodes=budget.used,
-                           limits_hit=True, value_exact=False)
-    if search.best == 0:
-        return SolveResult(value=0, witness=(), nodes=budget.used, infeasible=True)
-    if not capped:
-        return SolveResult(value=search.best, witness=optima[0], all_optima=tuple(optima),
-                           nodes=budget.used)
-    # a capped list is a sample, so the lex-least non-star optimum is
-    # certified
-    try:
-        witness = search.lex_least(search.best)
-    except _BudgetExceeded:
-        witness = min(graph.expand(clique) for clique in search.found)
-    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=True)
+        res = _enumerated(search, (0, 0), limits.optima_cap)
+    else:
+        res = _certified_maximum(search, stop_at=upper_hint)
+    if res.value == 0 and res.value_exact:
+        return SolveResult(value=0, witness=(), nodes=res.nodes, infeasible=True)
+    return res
 
 
 def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveResult:
@@ -758,37 +777,16 @@ class _HittingSearch:
 def max_triangular_intersecting(fam: SetFamily, s: int = 1,
                                 limits: Limits = DEFAULT_LIMITS) -> SolveResult:
     """Largest subfamily that is pairwise s-intersecting with every
-    element in at most two members (degree cap enforced incrementally)."""
-    cg = CompatibilityGraph.build(fam, s)
-    sets = fam.sets
-    m = cg.m
-    budget = _Budget(limits.node_budget)
-    state = {"best": 0, "best_stack": ()}
+    element in at most two members, with a lex-least witness.
 
-    def branch(start: int, stack: list[int], once: int, twice: int, cand: int) -> None:
-        if len(stack) > state["best"]:
-            state["best"] = len(stack)
-            state["best_stack"] = tuple(stack)
-        for v in range(start, m):
-            if not (cand >> v) & 1:
-                continue
-            if len(stack) + (cand >> v).bit_count() <= state["best"]:
-                return
-            if sets[v] & twice:
-                continue
-            budget.spend()
-            stack.append(v)
-            branch(v + 1, stack, once | sets[v], twice | (once & sets[v]),
-                   cand & cg.adj[v])
-            stack.pop()
-
-    try:
-        branch(0, [], 0, 0, (1 << m) - 1)
-    except _BudgetExceeded:
-        return SolveResult(value=state["best"], witness=state["best_stack"],
-                           nodes=budget.used, limits_hit=True, value_exact=False)
-    return SolveResult(value=state["best"], witness=state["best_stack"],
-                       nodes=budget.used)
+    The clique search runs with the degree-cap hook.  A cap can split a
+    twin class, so the search keeps one vertex per member."""
+    adj = CompatibilityGraph.build(fam, s).adj
+    graph = _Quotient(adj, [[v] for v in range(len(adj))],
+                      [row.bit_count() for row in adj])
+    search = _CliqueSearch(graph, _Budget(limits.node_budget),
+                           _DegreeCapHook(graph, fam.sets))
+    return _certified_maximum(search)
 
 
 def max_intersecting_sperner(fam: SetFamily,

@@ -145,6 +145,26 @@ def naive_all_max_s_intersecting(fam: SetFamily, s: int,
     return (0, set()) if best < 0 else (best, optima)
 
 
+def naive_max_triangular(fam: SetFamily, s: int) -> tuple[int, tuple[int, ...]]:
+    """Subset scan for the largest pairwise s-intersecting subfamily in
+    which no element lies in three members: the size and the lex-least
+    optimum as sorted member indices.  Both conditions pass to
+    subfamilies, so the scan walks sizes upwards, each in lexicographic
+    order, and stops at the first size with no such subfamily."""
+    sets = fam.sets
+    best: tuple[int, ...] = ()
+    for size in range(1, len(sets) + 1):
+        for combo in combinations(range(len(sets)), size):
+            if all((sets[i] & sets[j]).bit_count() >= s for i, j in combinations(combo, 2)) \
+                    and not any(sets[i] & sets[j] & sets[k]
+                                for i, j, k in combinations(combo, 3)):
+                best = combo
+                break
+        else:
+            break
+    return len(best), best
+
+
 def random_family(seed: int) -> SetFamily:
     """Distinct random subsets of a small ground set, with no
     intersection condition imposed."""

@@ -250,6 +250,19 @@ class TestCliSolveOps:
                      "--op", "nonstar", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == 3
 
+    def test_nonstar_op_on_a_sun_within_a_small_budget(self, tmp_path):
+        # the r=4 paths of sun(8,2): the non-star maximum is proven and
+        # certified well inside 5,000 nodes
+        gfile = tmp_path / "sun.txt"
+        ffile = tmp_path / "p4.txt"
+        out = tmp_path / "n.json"
+        assert main(["gen", "--kind", "sun", "--n", "8", "--t", "2", "--out", str(gfile)]) == 0
+        assert main(["paths", "--graph", str(gfile), "--r", "4", "--out", str(ffile)]) == 0
+        assert main(["solve", "--family", str(ffile), "--op", "nonstar",
+                     "--limit-nodes", "5000", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["value"] == 8 and not payload["limits_hit"]
+
     def test_sperner_op(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["solve", "--family", str(self._family_file(tmp_path)),

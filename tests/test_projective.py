@@ -2,8 +2,9 @@ import pytest
 
 from ekrlab.families import is_exactly_s_intersecting, is_s_intersecting, \
     is_triangular, stats
-from ekrlab.projective import FieldError, build_pg, emit_pg_map, make_field, \
-    rotational_family, sqrt_char2, triangular_char2, triangular_odd
+from ekrlab.projective import FieldError, build_pg, emit_pg_map, field_of_order, \
+    make_field, point_id, rotational_family, sqrt_char2, triangular_char2, \
+    triangular_odd
 from ekrlab.solvers import min_transversal
 
 FIELDS = {q: spec for q, spec in
@@ -32,6 +33,18 @@ class TestMakeField:
     def test_order_cap(self):
         with pytest.raises(FieldError):
             make_field(2, 10)
+
+
+class TestFieldOfOrder:
+    @pytest.mark.parametrize("q,p,k", [(2, 2, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2),
+                                       (25, 5, 2)])
+    def test_prime_powers(self, q, p, k):
+        assert field_of_order(q) == make_field(p, k)
+
+    @pytest.mark.parametrize("q", [1, 6, 12])
+    def test_other_orders_rejected(self, q):
+        with pytest.raises(FieldError, match="not a prime power"):
+            field_of_order(q)
 
 
 class TestFieldOps:
@@ -121,6 +134,19 @@ class TestBuildPg:
                 through = [s for s in plane.lines.sets
                            if (s >> x) & 1 and (s >> y) & 1]
                 assert len(through) == 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_point_ids_invert_point_names(self, q):
+        plane = build_pg(FIELDS[q])
+        coords = [(x, y) for x in range(q + 1) for y in range(q)] + [(q, q)]
+        ids = [point_id(q, x, y) for x, y in coords]
+        assert sorted(ids) == list(range(q * q + q + 1))
+        for (x, y), pid in zip(coords, ids):
+            name = plane.point_name(pid)
+            assert name == f"({'w' if x == q else x},{'w' if y == q else y})"
+            assert plane.point_id(x, y) == pid
+        with pytest.raises(ValueError):
+            point_id(q, q - 1, q)
 
     def test_map_emission(self):
         plane = build_pg(FIELDS[2])

@@ -210,6 +210,28 @@ class TestOnePassAgainstSubsetScan:
                     lambda lim: max_nonstar_s_intersecting(fam, s, lim, enumerate_optima=True),
                     optima, True)
 
+    def test_nonstar_maximum(self):
+        # the non-enumerating path: a hooked maximum, then certification
+        for fam in differential_families():
+            for s in (1, 2, 3):
+                value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar=True)
+                for hint in (None, value):
+                    res = max_nonstar_s_intersecting(fam, s, upper_hint=hint)
+                    assert res.value == value, (fam.name, s, hint)
+                    assert res.value_exact and not res.limits_hit
+                    if optima:
+                        assert res.witness == min(optima), (fam.name, s, hint)
+                    else:
+                        assert res.infeasible and res.witness == ()
+
+    def test_triangular_maximum(self):
+        for fam in differential_families():
+            for s in (1, 2):
+                res = max_triangular_intersecting(fam, s)
+                assert (res.value, res.witness) == helpers.naive_max_triangular(fam, s), \
+                    (fam.name, s)
+                assert res.value_exact and not res.limits_hit
+
 
 class TestNodeCounts:
     """Node counts are deterministic; a rise means the search tree grew."""
@@ -240,6 +262,25 @@ class TestNodeCounts:
                                          Limits(optima_cap=400), enumerate_optima=True)
         assert res.nodes <= 4754
         assert len(res.all_optima) == 312 and not res.limits_hit
+
+    def test_nonstar_maximum_on_suns(self):
+        # without twin contraction and the non-star hook in the clique
+        # core, both runs spent the whole 50M-node default budget (94 s
+        # and 293 s) and reported a value of 0
+        for n, t, r, value, nodes in ((10, 2, 5, 17, 3138), (12, 3, 6, 42, 13331)):
+            fam = path_family(make_sun(n, t), r)
+            res = max_nonstar_s_intersecting(fam, 1)
+            assert res.value == value and res.value_exact and not res.limits_hit
+            assert res.nodes <= nodes
+            full = max_nonstar_s_intersecting(fam, 1, Limits(optima_cap=0),
+                                              enumerate_optima=True)
+            assert res.witness == full.witness
+
+    def test_triangular_of_pg7(self):
+        # 1,722,693 nodes with a popcount bound and no candidate filter
+        res = max_triangular_intersecting(build_pg(make_field(7, 1)).lines)
+        assert res.value == 8 and res.witness == (0, 1, 7, 8, 17, 19, 45, 47)
+        assert res.value_exact and not res.limits_hit and res.nodes <= 547_799
 
     def test_transversal_of_pg7(self):
         # the packing bound is 1 on pairwise-intersecting lines; the
@@ -294,6 +335,15 @@ class TestNonStar:
         plain = max_nonstar_s_intersecting(fam, 1)
         assert hinted.value == plain.value == omega
         assert hinted.nodes <= plain.nodes
+
+    def test_budget_overrun_keeps_a_nonstar_clique(self):
+        fam = path_family(make_sun(10, 2), 5)
+        res = max_nonstar_s_intersecting(fam, 1, Limits(node_budget=1000))
+        assert res.limits_hit and not res.value_exact and res.nodes <= 1001
+        sub = SetFamily(ground=fam.ground,
+                        sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+        assert res.value == len(res.witness) > 0
+        assert is_s_intersecting(sub, 1) and not is_s_star(sub, 1).is_star
 
     def test_matches_filtered_naive(self):
         from itertools import combinations
@@ -379,6 +429,16 @@ class TestMaxTriangular:
         assert is_s_intersecting(sub, 1)
         from ekrlab.families import is_triangular
         assert is_triangular(sub) and stats(sub).delta <= 2
+
+    def test_budget_overrun_keeps_a_triangular_clique(self):
+        from ekrlab.families import is_triangular
+        fam = build_pg(make_field(7, 1)).lines
+        res = max_triangular_intersecting(fam, 1, Limits(node_budget=100))
+        assert res.limits_hit and not res.value_exact and res.nodes <= 101
+        sub = SetFamily(ground=fam.ground,
+                        sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+        assert res.value == len(res.witness) > 0
+        assert is_s_intersecting(sub, 1) and is_triangular(sub)
 
 
 class TestSperner:
