@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .graphs import Graph, GraphError, make_cycle, make_random_tree, make_sun, \
-    make_theta
+from .graphs import Graph, GraphError, make_graph
 from .solvers import Limits
 from .verdicts import Verdict, check_ekr, check_hm
 
@@ -90,18 +89,17 @@ def parse_config(text: str) -> CampaignConfig:
 
 
 def _instances(cfg: CampaignConfig) -> list[Graph]:
-    if cfg.kind == "cycle":
-        return [make_cycle(n) for n in cfg.n]
-    if cfg.kind == "sun":
-        return [make_sun(n, t) for n in cfg.n for t in cfg.t]
-    if cfg.kind == "theta":
-        if not cfg.a:
-            raise ValueError("theta campaigns need strand tuples under key 'a'")
-        return [make_theta(a) for a in cfg.a]
-    if cfg.kind == "tree":
-        return [make_random_tree(n, cfg.seed + i)
-                for n in cfg.n for i in range(cfg.tree_count)]
-    raise ValueError(f"unknown kind {cfg.kind!r}")
+    grids = {
+        "cycle": [{"n": n} for n in cfg.n],
+        "sun": [{"n": n, "t": t} for n in cfg.n for t in cfg.t],
+        "theta": [{"a": a} for a in cfg.a],
+        "tree": [{"n": n, "seed": cfg.seed + i} for n in cfg.n for i in range(cfg.tree_count)],
+    }
+    if cfg.kind not in grids:
+        raise ValueError(f"unknown kind {cfg.kind!r}")
+    if cfg.kind == "theta" and not cfg.a:
+        raise ValueError("theta campaigns need strand tuples under key 'a'")
+    return [make_graph(cfg.kind, **params) for params in grids[cfg.kind]]
 
 
 def _valid_r(cfg: CampaignConfig, g: Graph, s: int) -> list[int]:

@@ -9,8 +9,8 @@ import sys
 
 from . import campaign as campaign_mod
 from .families import emit_family, parse_family
-from .graphs import GraphError, ParseError, emit_graph, make_cycle, \
-    make_random_tree, make_sun, make_theta, parse_graph
+from .graphs import GraphError, ParseError, emit_graph, make_cycle, make_graph, \
+    parse_graph
 from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
 from .projective import FieldError, build_pg, emit_pg_map, field_of_order, \
@@ -30,15 +30,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _graph_from_args(args: argparse.Namespace):
-    if args.kind == "cycle":
-        return make_cycle(args.n)
-    if args.kind == "sun":
-        return make_sun(args.n, args.t)
-    if args.kind == "theta":
-        return make_theta(tuple(int(x) for x in args.a.split(",")))
-    if args.kind == "tree":
-        return make_random_tree(args.n, args.seed)
-    raise GraphError(f"unknown kind {args.kind!r}")
+    a = tuple(int(x) for x in args.a.split(",")) if args.kind == "theta" else ()
+    return make_graph(args.kind, n=args.n, t=args.t, a=a, seed=args.seed)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -6,8 +6,9 @@ Sets are Python ints used as bit masks over a ground set 0..ground-1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
 
@@ -33,12 +34,22 @@ class SetFamily:
 
     Generic constructions are duplicate-free; families projected from
     path subgraphs may carry duplicates, flagged in note.
+
+    symmetry holds permutations of the ground set (perm[e] is the image
+    of e) that map the members onto themselves, e.g. the generators of a
+    host graph's automorphism group; it plays no part in equality.
+    member_symmetry is derived from it: the same permutations acting on
+    member indices, with the copies of a duplicated set mapped to the
+    copies of its image in order, identities dropped.
     """
 
     ground: int
     sets: tuple[int, ...]
     name: str = ""
     note: str | None = None
+    symmetry: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    member_symmetry: tuple[tuple[int, ...], ...] = field(
+        init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         full = (1 << self.ground) - 1
@@ -47,6 +58,28 @@ class SetFamily:
                 raise ValueError("set exceeds ground range")
         if list(self.sets) != sorted(self.sets):
             raise ValueError("sets must be sorted")
+        if self.symmetry:
+            object.__setattr__(self, "member_symmetry", self._member_permutations())
+
+    def _member_permutations(self) -> tuple[tuple[int, ...], ...]:
+        """symmetry acting on member indices; a ValueError unless each
+        entry is a bijection of the ground set that maps the multiset of
+        members onto itself.  A stable sort of the members by image puts
+        the copies of a duplicated image in member order."""
+        sets = list(self.sets)
+        m = len(sets)
+        perms = set()
+        for perm in self.symmetry:
+            if sorted(perm) != list(range(self.ground)):
+                raise ValueError("symmetry entry is not a permutation of the ground set")
+            bits = [1 << e for e in perm]
+            images = [sum(map(bits.__getitem__, elems)) for elems in self.elems]
+            by_image = sorted(range(m), key=images.__getitem__)
+            if list(map(images.__getitem__, by_image)) != sets:
+                raise ValueError("symmetry entry does not map the members onto themselves")
+            perms.add(tuple(sorted(range(m), key=by_image.__getitem__)))
+        perms.discard(tuple(range(m)))
+        return tuple(sorted(perms))
 
     @classmethod
     def from_masks(cls, ground: int, masks: Iterable[int], name: str = "") -> "SetFamily":
@@ -61,7 +94,12 @@ class SetFamily:
         return len(self.sets)
 
     def member(self, i: int) -> tuple[int, ...]:
-        return elems_of(self.sets[i])
+        return self.elems[i]
+
+    @cached_property
+    def elems(self) -> tuple[tuple[int, ...], ...]:
+        """Each member's elements, ascending; computed once per family."""
+        return tuple(map(elems_of, self.sets))
 
 
 @dataclass(frozen=True)
@@ -118,10 +156,7 @@ def stats(fam: SetFamily, s_max: int = 1) -> FamilyStats:
                            min_size=0, common=0)
     delta_s: dict[int, int] = {}
     for s in range(1, s_max + 1):
-        counts: Counter[tuple[int, ...]] = Counter()
-        for mask in fam.sets:
-            for sub in combinations(elems_of(mask), s):
-                counts[sub] += 1
+        counts = Counter(chain.from_iterable(combinations(elems, s) for elems in fam.elems))
         delta_s[s] = max(counts.values()) if counts else 0
     common = fam.sets[0]
     for mask in fam.sets[1:]:
@@ -138,10 +173,7 @@ def best_full_star(fam: SetFamily, s: int) -> tuple[int, int]:
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    counts: Counter[tuple[int, ...]] = Counter()
-    for mask in fam.sets:
-        for sub in combinations(elems_of(mask), s):
-            counts[sub] += 1
+    counts = Counter(chain.from_iterable(combinations(elems, s) for elems in fam.elems))
     if not counts:
         return 0, 0
     size = max(counts.values())

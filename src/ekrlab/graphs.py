@@ -183,6 +183,58 @@ def make_random_tree(n: int, seed: int) -> Graph:
                  meta={"n": n, "seed": seed})
 
 
+def make_graph(kind: str, n: int = 6, t: int = 0, a: tuple[int, ...] = (),
+               seed: int = 0) -> Graph:
+    """The generated graph of a kind (cycle | sun | theta | tree) from
+    its parameters; a kind ignores the parameters it does not take."""
+    if kind == "cycle":
+        return make_cycle(n)
+    if kind == "sun":
+        return make_sun(n, t)
+    if kind == "theta":
+        return make_theta(a)
+    if kind == "tree":
+        return make_random_tree(n, seed)
+    raise GraphError(f"unknown kind {kind!r}")
+
+
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the known symmetry group of a generated graph, as
+    vertex permutations (perm[v] is the image of v).
+
+    cycle: rotation by one and reflection.  sun: rotation by one cycle
+    step and reflection of the cycle positions, pendant index kept.
+    theta: the hub swap, which reverses every strand, and the
+    transposition of each adjacent pair of equal strands.  Trees and
+    custom graphs get none."""
+    if g.kind == "cycle":
+        n = g.n
+        return (tuple((v + 1) % n for v in range(n)), tuple(-v % n for v in range(n)))
+    if g.kind == "sun":
+        n, step = g.meta["n"], g.meta["t"] + 1
+        total = n * step
+        return (tuple((v + step) % total for v in range(total)),
+                tuple(-(v // step) % n * step + v % step for v in range(total)))
+    if g.kind == "theta":
+        # strand i's interior runs from starts[i], hub u's side first
+        a = g.meta["a"]
+        starts = [2]
+        swap = [1, 0]
+        for length in a:
+            swap.extend(starts[-1] + length - 2 - j for j in range(length - 1))
+            starts.append(starts[-1] + length - 1)
+        gens = [tuple(swap)]
+        for i in range(len(a) - 1):
+            if a[i] == a[i + 1]:
+                lo, hi, width = starts[i], starts[i + 1], a[i] - 1
+                perm = list(range(g.n))
+                perm[lo:hi] = range(hi, hi + width)
+                perm[hi:hi + width] = range(lo, hi)
+                gens.append(tuple(perm))
+        return tuple(gens)
+    return ()
+
+
 def girth(g: Graph) -> int | float:
     """Length of the shortest cycle; math.inf for forests."""
     best = math.inf

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import SetFamily
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, automorphism_generators
 
 MAX_GROUND = 128
 
@@ -123,7 +123,8 @@ def to_setfamily(pf: PathFamily) -> SetFamily:
 
     Distinct subgraphs sharing a vertex set (spanning paths of a cycle do
     this) are all kept as members, and the collision is recorded in the
-    family's note.
+    family's note.  The host's automorphism generators map paths to
+    paths, so they become the family's symmetry.
     """
     masks = sorted(p.mask for p in pf.paths)
     dup = sum(1 for i in range(1, len(masks)) if masks[i] == masks[i - 1])
@@ -131,7 +132,8 @@ def to_setfamily(pf: PathFamily) -> SetFamily:
     if dup:
         note = (f"{dup} member(s) duplicate another member's vertex set; "
                 "distinct path subgraphs kept as distinct members")
-    return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name, note=note)
+    return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name, note=note,
+                     symmetry=automorphism_generators(pf.host))
 
 
 def image_on_cycle(p: PathSubgraph, g: Graph) -> PathSubgraph | None:

@@ -31,6 +31,24 @@ known clique and collects every maximum clique while its threshold
 rises, so it runs no separate maximum search (its witness is certified
 when the list is capped).
 
+Every clique search also uses the family's known symmetry.  Path
+families carry the generators of their host's automorphism group (cycle:
+rotation and reflection; sun: rotation and reflection of the cycle
+positions; theta: the hub swap and the transpositions of adjacent equal
+strands; trees and generator-free families: none), and the solvers turn
+them into permutations of quotient vertices.  At a node whose group is
+non-trivial the search branches on orbits (orbital branching): after
+branching on v, v's whole orbit leaves the candidates, since an optimum
+through any vertex of it has an image through v, and the child searches
+under v's stabiliser, whose generators come from Schreier's lemma
+without listing the group.  A maximum found that way is a maximum.  An
+enumeration closes the cliques it collects under the group's generators,
+so it still lists every optimum, and the optima cap still counts optima;
+a capped list is a sample drawn by the group-free pass, so no answer
+depends on the group.  The certification pass stays symmetry-free, so
+witnesses are unchanged.  A node is still one branched vertex; the
+vertices skipped as orbit images are not counted.
+
 Transversals use hitting-set branch and bound on a minimum uncovered
 member with two lower bounds: a greedy packing of pairwise-disjoint
 uncovered members, and a degree-sum bound (the fewest elements whose
@@ -45,6 +63,7 @@ state rather than a silent answer.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -245,6 +264,91 @@ def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True) -> _Quotient:
     return _Quotient(adj, members, degree)
 
 
+def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
+    """The family's member symmetry acting on quotient vertices, as
+    permutation tables.  A permutation of members that preserves the
+    compatibility graph maps twin classes onto twin classes of the same
+    size."""
+    if not fam.member_symmetry:
+        return ()
+    pos, members = graph.pos, graph.members
+    gens = {tuple([pos[perm[cls[0]]] for cls in members]) for perm in fam.member_symmetry}
+    gens.discard(tuple(range(len(members))))
+    if len(members) > 256:
+        return tuple(sorted(gens))
+    return tuple(sorted(bytes(g) + _BYTE_IDENTITY[len(g):] for g in gens))
+
+
+# A permutation of range(m) as a lookup table, perm[x] the image of x: for
+# m <= 256 a 256-byte table (identity past m), which bytes.translate
+# composes in one call; otherwise a tuple.
+Perm = bytes | tuple[int, ...]
+_BYTE_IDENTITY = bytes(range(256))
+
+
+def _compose(a: Perm, b: Perm) -> Perm:
+    """The permutation a after b; with b a sequence of points, their
+    images under a."""
+    return b.translate(a) if type(b) is bytes else tuple(map(a.__getitem__, b))
+
+
+def _inverse(perm: Perm) -> Perm:
+    if type(perm) is bytes:
+        return bytes.maketrans(perm, _BYTE_IDENTITY)
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+Generators = tuple[tuple[Perm, Perm], ...]
+
+
+def _orbit(gens: Generators, v: int) -> int:
+    """v's orbit under the group generated by gens, as a mask."""
+    orbit = 1 << v
+    queue = [v]
+    for u in queue:
+        for g, _ in gens:
+            w = g[u]
+            if not (orbit >> w) & 1:
+                orbit |= 1 << w
+                queue.append(w)
+    return orbit
+
+
+def _stabilizer(gens: Generators, v: int) -> Generators:
+    """Generators of v's stabiliser in the group generated by gens.
+
+    gens are (permutation, inverse) pairs.  Schreier's lemma: with t_u a
+    group element taking v to u (a transversal built while walking the
+    orbit), the elements t_g(u)^-1 g t_u, over every orbit point u and
+    generator g, fix v and generate the stabiliser.  Identities and
+    duplicates are dropped; the group itself is never listed."""
+    if all(g[v] == v for g, _ in gens):
+        return gens
+    ident = _BYTE_IDENTITY if type(gens[0][0]) is bytes else tuple(range(len(gens[0][0])))
+    trans = {v: (ident, ident)}
+    stab: dict[Perm, Perm] = {}
+    queue = [v]
+    for u in queue:
+        t, t_inv = trans[u]
+        for g, g_inv in gens:
+            w = g[u]
+            gt = _compose(g, t)
+            if w not in trans:
+                trans[w] = (gt, _compose(t_inv, g_inv))
+                queue.append(w)
+                continue
+            t_w, t_w_inv = trans[w]
+            if gt != t_w:
+                perm = _compose(t_w_inv, gt)
+                if perm not in stab:
+                    stab[perm] = _compose(t_inv, _compose(g_inv, t_w))
+    return tuple(sorted(stab.items()))
+
+
+class _Capped(Exception):
+    """A collecting pass under a group holds more than cap optima."""
+
+
 def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
     """Per element, the member-index mask of the members containing it."""
     holders = [0] * max((m.bit_length() for m in sets), default=0)
@@ -311,15 +415,20 @@ class _CliqueSearch:
     coloring bounds when some class has more than one member, and
     cliques are sets of quotient vertices.  An optional hook trims the
     candidates and says which cliques count; the coloring bound stays
-    valid for those.  Unhooked searches make no per-node hook call."""
+    valid for those.  Unhooked searches make no per-node hook call.
+    group holds generators of automorphisms of the quotient that keep
+    the hook's verdicts; with any, maximum() and enumerate_exact() branch
+    on orbits (_expand_orbits, _collect_orbits)."""
 
-    def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None) -> None:
+    def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None,
+                 group: tuple[Perm, ...] = ()) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
         self.hook = hook
+        self.gens: Generators = tuple((g, _inverse(g)) for g in group)
         self.best = 0
         self.best_mask = 0
 
@@ -334,13 +443,18 @@ class _CliqueSearch:
         full = (1 << self.m) - 1
         hit = False
         try:
-            if self.hook is None:
+            if self.gens:
+                self._expand_orbits(0, 0, full, self._root_state(), self.gens)
+            elif self.hook is None:
                 self._expand(0, 0, full)
             else:
                 self._expand_hooked(0, 0, full, self.hook.root)
         except _BudgetExceeded:
             hit = True
         return self.best, self.best_mask, hit
+
+    def _root_state(self):
+        return None if self.hook is None else self.hook.root
 
     def _greedy_seed(self, seed: tuple[int, int] | None = None) -> tuple[int, int]:
         """The heavier of seed and a degree-greedy clique (degrees
@@ -412,6 +526,42 @@ class _CliqueSearch:
                 self._expand_hooked(rmask | bit, size, nxt, inner)
             cand ^= bit
 
+    def _expand_orbits(self, rmask: int, rsize: int, cand: int, state, gens: Generators) -> None:
+        """_expand (or _expand_hooked) with orbital branching under the
+        group generated by gens, which fixes the clique so far and maps
+        cand onto itself: an optimum through any vertex of v's orbit has
+        an image through v, so once v is branched on its whole orbit
+        leaves the candidates, and the child searches under v's
+        stabiliser until that is trivial."""
+        adj, weight, hook = self.adj, self.weight, self.hook
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
+        for i in range(len(order) - 1, -1, -1):
+            if rsize + bounds[i] <= self.best:
+                return
+            if self._stop_at is not None and self.best >= self._stop_at:
+                return
+            v = order[i]
+            if not (cand >> v) & 1:
+                continue
+            bit = 1 << v
+            self.budget.spend()
+            size = rsize + (1 if weight is None else weight[v])
+            nxt, inner, counts = (cand & adj[v], state, True) if hook is None \
+                else hook.step(state, v, cand & adj[v])
+            if counts and size > self.best:
+                self.best = size
+                self.best_mask = rmask | bit
+            if nxt:
+                stab = _stabilizer(gens, v)
+                if stab:
+                    self._expand_orbits(rmask | bit, size, nxt, inner, stab)
+                elif hook is None:
+                    self._expand(rmask | bit, size, nxt)
+                else:
+                    self._expand_hooked(rmask | bit, size, nxt, inner)
+            cand &= ~_orbit(gens, v)
+
     def exists(self, cand: int, need: int, state=None, counts: bool = True) -> bool:
         """Decision variant: is there a clique of weight need inside cand?
         With a hook on, state is the hook's state of the clique taken so
@@ -481,15 +631,60 @@ class _CliqueSearch:
         list.  Once more than cap are held, only a heavier clique can
         matter, so the search prunes on <= best until one turns up.  On a
         budget overrun the partial state stays in best and found
-        (quotient vertices)."""
+        (quotient vertices).
+
+        With a group the pass branches on orbits and closes what it
+        collects under the group.  Once that holds more than cap optima
+        the list is a sample, and the group-free pass draws it from the
+        weight reached, so that no answer depends on the group."""
         self.best = floor
-        self.found: list[tuple[int, ...]] = []
+        self.found: list[Sequence[int]] = []
+        self._seen: set[Sequence[int]] = set()
         self._cap = cap
         self._capped = False
         if self.m == 0:
             return [()], False
-        self._collect([], 0, (1 << self.m) - 1, None if self.hook is None else self.hook.root)
+        full = (1 << self.m) - 1
+        self._closing = bool(self.gens)
+        if self._closing:
+            try:
+                self._collect_orbits([], 0, full, self._root_state(), self.gens)
+                return sorted(self.graph.expand(c) for c in self.found), False
+            except _Capped:
+                self._closing = False
+                self.found = []
+        self._collect([], 0, full, self._root_state())
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
+
+    def _collect_orbits(self, stack: list[int], size: int, cand: int, state,
+                        gens: Generators) -> None:
+        """_collect with the orbital branching of _expand_orbits.  Every
+        optimum is an image of one collected, and _record closes each
+        collected clique under the whole group."""
+        adj, weight, hook = self.adj, self.weight, self.hook
+        order, bounds = _color_order(adj, cand) if weight is None \
+            else _weighted_color_order(adj, cand, weight)
+        for i in range(len(order) - 1, -1, -1):
+            if size + bounds[i] < self.best:
+                return
+            v = order[i]
+            if not (cand >> v) & 1:
+                continue
+            self.budget.spend()
+            stack.append(v)
+            grown = size + (1 if weight is None else weight[v])
+            nxt, inner, counts = (cand & adj[v], state, True) if hook is None \
+                else hook.step(state, v, cand & adj[v])
+            if counts:
+                self._record(stack, grown)
+            if nxt:
+                stab = _stabilizer(gens, v)
+                if stab:
+                    self._collect_orbits(stack, grown, nxt, inner, stab)
+                else:
+                    self._collect(stack, grown, nxt, inner)
+            stack.pop()
+            cand &= ~_orbit(gens, v)
 
     def _collect(self, stack: list[int], size: int, cand: int, state) -> None:
         adj, weight, hook = self.adj, self.weight, self.hook
@@ -520,11 +715,38 @@ class _CliqueSearch:
         if size > self.best:
             self.best = size
             self.found = []
+            self._seen = set()
             self._capped = False
         if size == self.best and not self._capped:
+            if self._closing:
+                self._close(stack)
+                return
             self.found.append(tuple(sorted(stack)))
             if len(self.found) > self._cap:
                 self._capped = True
+
+    def _close(self, stack: list[int]) -> None:
+        """Add the clique on stack and its images under the group to
+        found, unless an earlier clique's images hold it; _Capped once
+        more than cap are held.  found holds them ascending, as bytes
+        when the group's tables are bytes (translate maps them)."""
+        seen, found, gens, cap = self._seen, self.found, self.gens, self._cap
+        as_seq = bytes if type(gens[0][0]) is bytes else tuple
+        clique = as_seq(sorted(stack))
+        if clique in seen:
+            return
+        seen.add(clique)
+        found.append(clique)
+        i = len(found) - 1
+        while i < len(found):
+            for g, _ in gens:
+                image = as_seq(sorted(_compose(g, found[i])))
+                if image not in seen:
+                    seen.add(image)
+                    found.append(image)
+            if len(found) > cap:
+                raise _Capped
+            i += 1
 
 
 def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:
@@ -571,12 +793,18 @@ def _enumerated(search: _CliqueSearch, floor: tuple[int, int], cap: int) -> Solv
     if not capped:
         return SolveResult(value=search.best, witness=optima[0] if optima else (),
                            all_optima=tuple(optima), nodes=budget.used)
+    return SolveResult(value=search.best, witness=_sample_witness(search),
+                       all_optima=tuple(optima), nodes=budget.used, limits_hit=True)
+
+
+def _sample_witness(search: _CliqueSearch) -> tuple[int, ...]:
+    """The witness of a capped optima list, which is only a sample: the
+    certified lex-least optimum, or on a budget overrun the least
+    clique collected."""
     try:
-        witness = search.lex_least(search.best)
+        return search.lex_least(search.best)
     except _BudgetExceeded:
-        witness = min(graph.expand(clique) for clique in search.found)
-    return SolveResult(value=search.best, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=True)
+        return min(search.graph.expand(clique) for clique in search.found)
 
 
 def max_s_intersecting(fam: SetFamily, s: int,
@@ -585,7 +813,8 @@ def max_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
-    search = _CliqueSearch(graph, _Budget(limits.node_budget))
+    search = _CliqueSearch(graph, _Budget(limits.node_budget),
+                           group=_quotient_group(graph, fam))
     return _certified_maximum(search, seed=_star_seed(fam, s, graph))
 
 
@@ -595,7 +824,8 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
-    search = _CliqueSearch(graph, _Budget(limits.node_budget))
+    search = _CliqueSearch(graph, _Budget(limits.node_budget),
+                           group=_quotient_group(graph, fam))
     return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
                        limits.optima_cap)
 
@@ -619,7 +849,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj,
                            by_degree=not enumerate_optima)
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           _NonStarHook(graph, fam.sets, s))
+                           _NonStarHook(graph, fam.sets, s), _quotient_group(graph, fam))
     if enumerate_optima:
         res = _enumerated(search, (0, 0), limits.optima_cap)
     else:
@@ -785,7 +1015,7 @@ def max_triangular_intersecting(fam: SetFamily, s: int = 1,
     graph = _Quotient(adj, [[v] for v in range(len(adj))],
                       [row.bit_count() for row in adj])
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           _DegreeCapHook(graph, fam.sets))
+                           _DegreeCapHook(graph, fam.sets), _quotient_group(graph, fam))
     return _certified_maximum(search)
 
 
@@ -804,7 +1034,7 @@ def max_intersecting_sperner(fam: SetFamily,
                 rows[j] |= 1 << i
     graph = _twin_quotient(tuple(rows), by_degree=False)
     budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(graph, budget)
+    search = _CliqueSearch(graph, budget, group=_quotient_group(graph, fam))
     value, mask, hit = search.maximum()
     if hit:
         return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
@@ -815,11 +1045,13 @@ def max_intersecting_sperner(fam: SetFamily,
         return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
                            nodes=budget.used, limits_hit=True)
     uniform = None
-    if not capped:
+    if capped:
+        witness = _sample_witness(search)
+    else:
+        witness = optima[0] if optima else ()
         uniform = all(
             len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
         )
-    witness = optima[0] if optima else ()
     return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
                        nodes=budget.used, limits_hit=capped,
                        uniform_optima=uniform)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from . import oracles
 from .families import SetFamily, best_full_star, elems_of, is_s_intersecting, \
@@ -153,6 +154,14 @@ def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
     return None
 
 
+def star_flags_of(fam: SetFamily, optima, s: int) -> list[bool]:
+    """Per optimum (member indices), whether its members share at least
+    s elements; an empty optimum is not a star."""
+    sets = fam.sets
+    return [bool(opt) and reduce(and_, map(sets.__getitem__, opt)).bit_count() >= s
+            for opt in optima]
+
+
 def check_ekr(g: Graph, mode: str, size: int | None, s: int,
               limits: Limits = DEFAULT_LIMITS, enumerate_optima: bool = True,
               sun_variant: str = "squared") -> Verdict:
@@ -177,11 +186,7 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
     is_strict: bool | None = None
     classification = "unknown"
     if solved.all_optima is not None:
-        star_flags = [
-            is_s_star(SetFamily(ground=fam.ground,
-                                sets=tuple(sorted(fam.sets[i] for i in opt))), s).is_star
-            for opt in solved.all_optima
-        ]
+        star_flags = star_flags_of(fam, solved.all_optima, s)
         if solved.limits_hit:
             is_strict = False if not all(star_flags) else None
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from ekrlab.families import SetFamily, mask_of
 from ekrlab.graphs import Graph
@@ -318,4 +318,62 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def symmetric_hosts():
+    """The hosts of the symmetry differential tests: cycles n=3..14, suns
+    n=3..9 with t=0..3, and thetas with 2 to 4 strands of length at most
+    6."""
+    from ekrlab.graphs import make_cycle, make_sun, make_theta
+
+    hosts = [make_cycle(n) for n in range(3, 15)]
+    hosts += [make_sun(n, t) for n in range(3, 10) for t in range(4)]
+    hosts += [make_theta(a) for k in (2, 3, 4)
+              for a in combinations_with_replacement(range(1, 7), k) if a[1] >= 2]
+    return hosts
+
+
+def host_path_families(g: Graph):
+    """The path families of a host in the uniform mode at every r, the
+    upto mode at k=3 and the all-paths mode, each with the host's
+    automorphism generators as its symmetry."""
+    from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, \
+        enumerate_paths_upto, to_setfamily
+
+    for r in range(1, g.n + 1):
+        yield f"r={r}", to_setfamily(enumerate_paths_r(g, r))
+    yield "upto=3", to_setfamily(enumerate_paths_upto(g, 3))
+    yield "all", to_setfamily(enumerate_paths_all(g))
+
+
+RESULT_FIELDS = ("value", "witness", "all_optima", "limits_hit", "value_exact",
+                 "infeasible", "uniform_optima")
+
+
+def solver_outcomes(fam: SetFamily, caps=(0, 1, 5)) -> dict:
+    """The answer fields (RESULT_FIELDS) of every clique solver on fam:
+    the s-intersecting maximum and enumeration, the non-star maximum and
+    enumeration and the triangular maximum at s=1..3, and the Sperner
+    search; the enumerations also under each optima cap in caps."""
+    from ekrlab.solvers import Limits, enumerate_maximum_s_intersecting, \
+        max_intersecting_sperner, max_nonstar_s_intersecting, max_s_intersecting, \
+        max_triangular_intersecting
+
+    def fields(res):
+        return tuple(getattr(res, f) for f in RESULT_FIELDS)
+
+    limits = [Limits()] + [Limits(optima_cap=cap) for cap in caps]
+    out = {}
+    for s in (1, 2, 3):
+        out["max", s] = fields(max_s_intersecting(fam, s))
+        out["nonstar", s] = fields(max_nonstar_s_intersecting(fam, s))
+        out["triangular", s] = fields(max_triangular_intersecting(fam, s))
+        for lim in limits:
+            out["enumerate", s, lim.optima_cap] = fields(
+                enumerate_maximum_s_intersecting(fam, s, lim))
+            out["nonstar-enumerate", s, lim.optima_cap] = fields(
+                max_nonstar_s_intersecting(fam, s, lim, enumerate_optima=True))
+    for lim in limits:
+        out["sperner", lim.optima_cap] = fields(max_intersecting_sperner(fam, lim))
     return out

@@ -227,6 +227,30 @@ class TestCli:
         assert main(["gen", "--kind", "cycle", "--n", "2"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--kind", "cycle", "--n", "2"], "cycle needs n >= 3, got 2"),
+        (["gen", "--kind", "sun", "--n", "5", "--t", "-1"], "sun needs t >= 0, got -1"),
+        (["gen", "--kind", "theta"], "invalid literal for int() with base 10: ''"),
+        (["gen", "--kind", "theta", "--a", "3,2"], "strand lengths must be sorted ascending"),
+        (["gen", "--kind", "tree", "--n", "0"], "tree needs n >= 1, got 0"),
+        (["check-ekr", "--kind", "theta", "--a", "2,x", "--r", "3"],
+         "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_graph_parameter_errors(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ("kind = wheel\n", "unknown kind 'wheel'"),
+        ("kind = theta\n", "theta campaigns need strand tuples under key 'a'"),
+        ("kind = sun\nn = 2\n", "sun needs n >= 3, got 2"),
+    ])
+    def test_campaign_grid_errors(self, config, message, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert main(["campaign", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCliSolveOps:
     def _family_file(self, tmp_path):

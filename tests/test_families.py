@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 import helpers
 from ekrlab.families import SetFamily, best_full_star, emit_family, \
     full_star, is_exactly_s_intersecting, is_s_intersecting, is_s_star, is_sperner, \
     is_triangular, mask_of, parse_family, stats
-from ekrlab.graphs import make_cycle, make_theta
+from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_r, enumerate_paths_upto, to_setfamily
 from ekrlab.projective import build_pg, make_field
 
@@ -159,3 +161,44 @@ class TestTextFormat:
             parse_family("# ground=3 count=2\n0 1\n")
         with pytest.raises(ValueError):
             parse_family("0 1\n")
+
+
+class TestSymmetry:
+    def test_member_permutations(self):
+        # cycle(4) r=2: members by mask {0,1} {1,2} {0,3} {2,3}; the
+        # rotation v -> v+1 and the reflection v -> -v act on them as
+        fam = to_setfamily(enumerate_paths_r(make_cycle(4), 2))
+        assert [fam.member(i) for i in range(4)] == [(0, 1), (1, 2), (0, 3), (2, 3)]
+        assert fam.member_symmetry == ((1, 3, 0, 2), (2, 3, 0, 1))
+
+    def test_duplicates_map_to_copies_in_order(self):
+        # the spanning paths of cycle(5) all have the full vertex set
+        fam = to_setfamily(enumerate_paths_r(make_cycle(5), 5))
+        assert len(fam) == 5 and len(set(fam.sets)) == 1
+        assert fam.member_symmetry == ()
+        fam = SetFamily(ground=3, sets=(0b001, 0b001, 0b010, 0b010), symmetry=((1, 0, 2),))
+        assert fam.member_symmetry == ((2, 3, 0, 1),)
+
+    def test_a_permutation_that_moves_a_member_off_the_family_raises(self):
+        fam = to_setfamily(enumerate_paths_r(make_cycle(6), 3))
+        swap = (1, 0, 2, 3, 4, 5)   # not an automorphism of the 6-cycle
+        with pytest.raises(ValueError, match="onto themselves"):
+            replace(fam, symmetry=(swap,))
+        # an automorphism of the host passes
+        assert replace(fam, symmetry=automorphism_generators(make_cycle(6))).member_symmetry
+
+    def test_a_non_bijection_raises(self):
+        for perm in ((0, 0, 1), (0, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                SetFamily(ground=3, sets=(0b011,), symmetry=(perm,))
+
+    def test_symmetry_plays_no_part_in_equality(self):
+        fam = to_setfamily(enumerate_paths_r(make_sun(5, 1), 3))
+        plain = replace(fam, symmetry=())
+        assert fam.symmetry and fam == plain and hash(fam) == hash(plain)
+        assert plain.member_symmetry == ()
+
+    def test_generic_constructions_carry_none(self, fano):
+        assert fano.symmetry == ()
+        assert full_star(to_setfamily(enumerate_paths_r(make_theta((2, 3, 3)), 3)), 1).symmetry == ()
+        assert parse_family("# ground=3 count=1\n0 1\n").symmetry == ()

@@ -3,8 +3,9 @@ import math
 import pytest
 
 import helpers
-from ekrlab.graphs import GraphError, ParseError, emit_graph, girth, is_connected, \
-    make_cycle, make_random_tree, make_sun, make_theta, parse_graph, sun_vertex
+from ekrlab.graphs import Graph, GraphError, ParseError, automorphism_generators, \
+    emit_graph, girth, is_connected, make_cycle, make_graph, make_random_tree, make_sun, \
+    make_theta, parse_graph, sun_vertex
 
 
 class TestMakeCycle:
@@ -169,3 +170,52 @@ class TestParseEmit:
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph("3 2\n0 1\n")
+
+
+class TestAutomorphismGenerators:
+    def test_every_generator_preserves_the_edges(self):
+        hosts = helpers.symmetric_hosts()
+        assert {g.kind for g in hosts} == {"cycle", "sun", "theta"}
+        for g in hosts:
+            gens = automorphism_generators(g)
+            assert gens, g.meta
+            for perm in gens:
+                assert sorted(perm) == list(range(g.n)), g.meta
+                moved = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
+                assert moved == g.edges, g.meta
+                assert perm != tuple(range(g.n)), g.meta
+
+    def test_cycle_rotation_and_reflection(self):
+        assert automorphism_generators(make_cycle(5)) == ((1, 2, 3, 4, 0), (0, 4, 3, 2, 1))
+
+    def test_sun_keeps_the_pendant_index(self):
+        rotation, reflection = automorphism_generators(make_sun(4, 2))
+        for i in range(4):
+            for j in range(3):
+                assert rotation[sun_vertex(i, j, 2)] == sun_vertex((i + 1) % 4, j, 2)
+                assert reflection[sun_vertex(i, j, 2)] == sun_vertex(-i % 4, j, 2)
+
+    def test_theta_hub_swap_and_equal_strands(self):
+        # theta(2,3,3): strand 1 is vertex 2, strand 2 is 3,4, strand 3 is 5,6
+        swap, transposition = automorphism_generators(make_theta((2, 3, 3)))
+        assert swap == (1, 0, 2, 4, 3, 6, 5)
+        assert transposition == (0, 1, 2, 5, 6, 3, 4)
+        # unequal strands: the hub swap alone
+        assert len(automorphism_generators(make_theta((2, 3, 4)))) == 1
+        assert len(automorphism_generators(make_theta((3, 3, 3, 3)))) == 4
+
+    def test_trees_and_custom_graphs_have_none(self):
+        assert automorphism_generators(make_random_tree(8, 1)) == ()
+        assert automorphism_generators(Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))) == ()
+
+
+class TestMakeGraph:
+    def test_dispatches_on_kind(self):
+        assert make_graph("cycle", n=7) == make_cycle(7)
+        assert make_graph("sun", n=5, t=2) == make_sun(5, 2)
+        assert make_graph("theta", a=(2, 3, 3)) == make_theta((2, 3, 3))
+        assert make_graph("tree", n=9, seed=4) == make_random_tree(9, 4)
+
+    def test_unknown_kind(self):
+        with pytest.raises(GraphError, match="unknown kind 'wheel'"):
+            make_graph("wheel")

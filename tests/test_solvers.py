@@ -1,5 +1,9 @@
+from dataclasses import replace
+
+import pytest
+
 import helpers
-from ekrlab import verdicts
+from ekrlab import paths, verdicts
 from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, stats
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
@@ -263,6 +267,34 @@ class TestNodeCounts:
         assert res.nodes <= 4754
         assert len(res.all_optima) == 312 and not res.limits_hit
 
+    def test_orbital_enumeration_on_sun_16_3(self):
+        # its 16 optima are the rotations of one star; 10,442 nodes
+        # without orbital branching
+        res = enumerate_maximum_s_intersecting(path_family(make_sun(16, 3), 8), 2)
+        assert res.value == 88 and len(res.all_optima) == 16 and not res.limits_hit
+        assert res.nodes <= 4499
+
+    def test_orbital_enumeration_on_all_paths_of_cycle_11(self):
+        # 36,806 nodes without orbital branching
+        res = enumerate_maximum_s_intersecting(
+            to_setfamily(enumerate_paths_all(make_cycle(11))), 1)
+        assert res.value == 66 and len(res.all_optima) == 1024 and not res.limits_hit
+        assert res.nodes <= 10_946
+
+    def test_check_hm_on_cycle_26_13(self, monkeypatch):
+        # 8,166 non-star optima; 16,382 nodes without orbital branching
+        solved = []
+
+        def recording(fam, s, limits, **options):
+            solved.append(max_nonstar_s_intersecting(fam, s, limits, **options))
+            return solved[-1]
+
+        monkeypatch.setattr(verdicts, "max_nonstar_s_intersecting", recording)
+        v = verdicts.check_hm(make_cycle(26), 13)
+        assert v.value_exact and not v.limits_hit and v.classification == "other"
+        [res] = solved
+        assert len(res.all_optima) == 8166 and res.nodes <= 6144
+
     def test_nonstar_maximum_on_suns(self):
         # without twin contraction and the non-star hook in the clique
         # core, both runs spent the whole 50M-node default budget (94 s
@@ -337,7 +369,9 @@ class TestNonStar:
         assert hinted.nodes <= plain.nodes
 
     def test_budget_overrun_keeps_a_nonstar_clique(self):
-        fam = path_family(make_sun(10, 2), 5)
+        # without the group: orbital branching proves this value in 827
+        # nodes; TestOrbitalBranching sweeps budgets with the group on
+        fam = replace(path_family(make_sun(10, 2), 5), symmetry=())
         res = max_nonstar_s_intersecting(fam, 1, Limits(node_budget=1000))
         assert res.limits_hit and not res.value_exact and res.nodes <= 1001
         sub = SetFamily(ground=fam.ground,
@@ -450,6 +484,19 @@ class TestSperner:
         fam = SetFamily.from_vertex_sets(2, [{0}, {0, 1}])
         assert max_intersecting_sperner(fam).value == 1
 
+    def test_capped_witness_is_the_lex_least_optimum(self):
+        # a capped list is a sample; its least member need not be the
+        # least optimum (cap 1 on cycle(12) r=6 once gave 6..11)
+        for n in (8, 10, 12):
+            fam = path_family(make_cycle(n), n // 2)
+            full = max_intersecting_sperner(fam)
+            assert not full.limits_hit and full.witness == tuple(range(n // 2))
+            for cap in (0, 1, 5):
+                res = max_intersecting_sperner(fam, Limits(optima_cap=cap))
+                assert res.limits_hit and res.value == full.value, (n, cap)
+                assert res.witness == full.witness, (n, cap)
+                assert len(res.all_optima) == cap and set(res.all_optima) <= set(full.all_optima)
+
     def test_exploratory_on_mixed_lengths(self):
         fam = to_setfamily(enumerate_paths_upto(make_cycle(8), 4))
         res = max_intersecting_sperner(fam)
@@ -474,3 +521,67 @@ class TestHelly:
 
     def test_tiny_families(self):
         assert helly_triple_check(SetFamily(ground=3, sets=(1, 3)))[0]
+
+
+# the largest families of the group differential, per host kind: above
+# these a family costs up to seconds in the group-free search, and the
+# theta grid has 175 hosts against 12 cycles and 28 suns
+MAX_DIFFERENTIAL_MEMBERS = {"cycle": 60, "sun": 45, "theta": 14}
+
+
+class TestOrbitalBranching:
+    """Path families carry their host's automorphism generators: the
+    clique searches branch on orbits and close the optima they collect
+    under the group.  Every answer must equal the group-free search's."""
+
+    @pytest.mark.parametrize("kind", ("cycle", "sun", "theta"))
+    def test_answers_do_not_depend_on_the_group(self, kind):
+        checked = 0
+        for g in helpers.symmetric_hosts():
+            if g.kind != kind:
+                continue
+            for label, fam in helpers.host_path_families(g):
+                if len(fam) > MAX_DIFFERENTIAL_MEMBERS[kind]:
+                    continue
+                assert helpers.solver_outcomes(fam) == \
+                    helpers.solver_outcomes(replace(fam, symmetry=())), (g.meta, label)
+                checked += 1
+        assert checked >= 100
+
+    def test_check_hm_does_not_depend_on_the_group(self, monkeypatch):
+        grid = [(n, r) for n in range(6, 21) for r in range(1, n + 1)]
+        with_group = [verdicts.check_hm(make_cycle(n), r).to_dict() for n, r in grid]
+        monkeypatch.setattr(paths, "automorphism_generators", lambda g: ())
+        without = [verdicts.check_hm(make_cycle(n), r).to_dict() for n, r in grid]
+        for a, b in zip(with_group, without):
+            a.pop("runtime_ms")
+            b.pop("runtime_ms")
+            assert a == b, a["instance"]
+
+    def test_budget_overruns_stay_within_budget(self):
+        fam = path_family(make_sun(10, 2), 5)
+        assert fam.member_symmetry
+        runs = {
+            "max": lambda lim: max_s_intersecting(fam, 1, lim),
+            "enumerate": lambda lim: enumerate_maximum_s_intersecting(fam, 1, lim),
+            "nonstar": lambda lim: max_nonstar_s_intersecting(fam, 1, lim),
+            "nonstar-enumerate": lambda lim: max_nonstar_s_intersecting(
+                fam, 1, lim, enumerate_optima=True),
+            "sperner": lambda lim: max_intersecting_sperner(fam, lim),
+        }
+        for name, run in runs.items():
+            full = run(Limits())
+            for budget in range(0, full.nodes + 2, 13):
+                res = run(Limits(node_budget=budget))
+                assert res.nodes <= budget + 1, (name, budget)
+                if not res.limits_hit:
+                    assert res == replace(full, nodes=res.nodes), (name, budget)
+                    continue
+                assert res.value <= full.value and len(res.witness) == res.value
+                sub = SetFamily(ground=fam.ground,
+                                sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+                assert is_s_intersecting(sub, 1), (name, budget)
+                if name.startswith("nonstar") and res.witness:
+                    assert not is_s_star(sub, 1).is_star, (name, budget)
+                if res.value_exact:
+                    assert res.value == full.value, (name, budget)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import helpers
-from ekrlab.families import mask_of
+from ekrlab.families import SetFamily, is_s_star, mask_of
 from ekrlab.graphs import GraphError, make_cycle, make_random_tree, make_sun, \
     make_theta
 from ekrlab.solvers import Limits
-from ekrlab.verdicts import build_family, check_ekr, check_hm, matches_hm_structure
+from ekrlab.solvers import enumerate_maximum_s_intersecting
+from ekrlab.verdicts import build_family, check_ekr, check_hm, matches_hm_structure, \
+    star_flags_of
 
 
 class TestCheckEkr:
@@ -93,6 +95,20 @@ class TestCheckEkr:
         assert v.brute_value == v.max_star["size"] == 24
         assert len(v.witnesses["optimum"]) == 24
 
+    def test_star_flags_agree_with_is_s_star(self):
+        # the star flag of an optimum is the bit count of its members'
+        # meet; an empty optimum (the empty family's) is not a star
+        cases = [(make_cycle(10), "uniform", 5), (make_sun(6, 1), "all-paths", None),
+                 (make_theta((2, 3, 3)), "upto", 3), (make_random_tree(5, 0), "uniform", 5)]
+        for g, mode, size in cases:
+            fam = build_family(g, mode, size)
+            for s in (1, 2, 3):
+                optima = enumerate_maximum_s_intersecting(fam, s).all_optima
+                expected = [is_s_star(SetFamily(ground=fam.ground, sets=tuple(
+                    sorted(fam.sets[i] for i in opt))), s).is_star for opt in optima]
+                assert star_flags_of(fam, optima, s) == expected, (g.kind, mode, s)
+        assert star_flags_of(SetFamily(ground=2, sets=()), [()], 1) == [False]
+
     def test_without_optima_enumeration(self):
         v = check_ekr(make_cycle(8), "uniform", 3, 1, enumerate_optima=False)
         assert v.brute_value == 3 and v.is_ekr
@@ -153,12 +169,12 @@ class TestHmStructureMatcher:
     def test_negative(self):
         # the pentagon family: five 5-windows at even starts on C_10 is a
         # maximum non-star family matching no 3-vertex anchor set
-        from ekrlab.families import mask_of
+        from ekrlab.families import SetFamily, is_s_star, mask_of
         windows = [mask_of([(y + d) % 10 for d in range(5)]) for y in (0, 2, 4, 6, 8)]
         assert not matches_hm_structure(10, 5, windows)
 
     def test_single_window_unmatchable(self):
-        from ekrlab.families import mask_of
+        from ekrlab.families import SetFamily, is_s_star, mask_of
         assert not matches_hm_structure(12, 5, [mask_of(range(5))])
 
     def test_lookup_agrees_with_anchor_scan(self):
