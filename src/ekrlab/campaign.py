@@ -18,14 +18,19 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .graphs import Graph, GraphError, make_graph
+from .oracles import SUN_VARIANTS
 from .solvers import Limits
-from .verdicts import Verdict, check_ekr, check_hm
+from .verdicts import MODES, Verdict, check_ekr, check_hm
 
 SCHEMA_VERSION = 1
 
 EXIT_CLEAN = 0
 EXIT_MISMATCH = 2
 EXIT_LIMITS = 3
+
+# the keys whose value is one of a fixed set of choices
+CHOICES = {"check": ("ekr", "hm"), "mode": MODES, "format": ("json", "csv"),
+           "sun_variant": SUN_VARIANTS}
 
 
 @dataclass
@@ -85,6 +90,10 @@ def parse_config(text: str) -> CampaignConfig:
             setattr(cfg, key, int(val))
         else:
             setattr(cfg, key, val)
+    for key, allowed in CHOICES.items():
+        val = getattr(cfg, key)
+        if val not in allowed:
+            raise ValueError(f"unknown {key} {val!r}; expected one of {', '.join(allowed)}")
     return cfg
 
 
@@ -97,6 +106,8 @@ def _instances(cfg: CampaignConfig) -> list[Graph]:
     }
     if cfg.kind not in grids:
         raise ValueError(f"unknown kind {cfg.kind!r}")
+    if cfg.check == "hm" and cfg.kind != "cycle":
+        raise ValueError(f"check hm runs on cycles only, got kind {cfg.kind!r}")
     if cfg.kind == "theta" and not cfg.a:
         raise ValueError("theta campaigns need strand tuples under key 'a'")
     return [make_graph(cfg.kind, **params) for params in grids[cfg.kind]]

@@ -220,6 +220,9 @@ def parse_family(text: str) -> SetFamily:
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing '# ground=n count=m' header")
     fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+    for key in ("ground", "count"):
+        if key not in fields:
+            raise ValueError(f"family header lacks '{key}='")
     ground = int(fields["ground"])
     count = int(fields["count"])
     body = lines[1:]

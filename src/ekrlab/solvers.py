@@ -10,6 +10,12 @@ with a greedy coloring bound, in one of three modes:
 - degree <= 2 (triangular): a hook drops every candidate that would put
   an element in a third member.
 
+Two recursive loops do the branching in every mode: one for maximum
+searches and one for enumerations (collecting passes).  Each carries
+the hook's state and the symmetry generators in force at the node (see
+below), so a plain or group-free search runs the same loop with no hook
+state and no generators.
+
 The plain and non-star searches run on the twin quotient of the graph:
 members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
 differ only in the pendant they end at) form one vertex weighted by the
@@ -21,9 +27,10 @@ weight in each color class.  A degree cap can split a twin class, so the
 triangular search keeps one vertex per member.  Node counts count
 quotient vertices.
 
-The plain and non-star maximum searches order the quotient vertices by
-descending degree (dense compatibility graphs are near-trivial in that
-order and pathological in member order).  A maximum search's witness is
+The plain and non-star searches, maxima and enumerations alike, order
+the quotient vertices by descending degree (dense compatibility graphs
+are near-trivial in that order and pathological in member order; the
+Sperner search keeps member order).  A maximum search's witness is
 recomputed in family order by a deterministic certification pass that
 takes or drops a whole class at a time, so it is the lex-least optimum.
 Optima enumeration is a single pass: it starts from the weight of a
@@ -417,8 +424,13 @@ class _CliqueSearch:
     candidates and says which cliques count; the coloring bound stays
     valid for those.  Unhooked searches make no per-node hook call.
     group holds generators of automorphisms of the quotient that keep
-    the hook's verdicts; with any, maximum() and enumerate_exact() branch
-    on orbits (_expand_orbits, _collect_orbits)."""
+    the hook's verdicts.
+
+    Two recursive loops do all the branching: _expand for maximum() and
+    _collect for enumerate_exact().  Each carries the hook's state (None
+    without a hook) and the generators of the group in force at the
+    node: while there are any it branches on orbits, and a node whose
+    group is trivial gets () and runs no orbit or stabiliser work."""
 
     def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None,
                  group: tuple[Perm, ...] = ()) -> None:
@@ -443,12 +455,7 @@ class _CliqueSearch:
         full = (1 << self.m) - 1
         hit = False
         try:
-            if self.gens:
-                self._expand_orbits(0, 0, full, self._root_state(), self.gens)
-            elif self.hook is None:
-                self._expand(0, 0, full)
-            else:
-                self._expand_hooked(0, 0, full, self.hook.root)
+            self._expand(0, 0, full, self._root_state(), self.gens)
         except _BudgetExceeded:
             hit = True
         return self.best, self.best_mask, hit
@@ -468,7 +475,7 @@ class _CliqueSearch:
         size = 0
         best = (0, 0)
         cand = (1 << self.m) - 1
-        state = None if hook is None else hook.root
+        state = self._root_state()
         for v in order:
             if (cand >> v) & 1:
                 mask |= 1 << v
@@ -482,57 +489,16 @@ class _CliqueSearch:
                     best = (size, mask)
         return seed if seed is not None and seed[0] > best[0] else best
 
-    def _expand(self, rmask: int, rsize: int, cand: int) -> None:
-        adj, weight = self.adj, self.weight
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bounds[i] <= self.best:
-                return
-            if self._stop_at is not None and self.best >= self._stop_at:
-                return
-            v = order[i]
-            bit = 1 << v
-            self.budget.spend()
-            size = rsize + (1 if weight is None else weight[v])
-            if size > self.best:
-                self.best = size
-                self.best_mask = rmask | bit
-            nxt = cand & adj[v]
-            if nxt:
-                self._expand(rmask | bit, size, nxt)
-            cand ^= bit
-
-    def _expand_hooked(self, rmask: int, rsize: int, cand: int, state) -> None:
-        """_expand with the hook on: a clique becomes the best only when
-        it counts, and the hook trims the candidates of each child."""
-        adj, weight, step = self.adj, self.weight, self.hook.step
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bounds[i] <= self.best:
-                return
-            if self._stop_at is not None and self.best >= self._stop_at:
-                return
-            v = order[i]
-            bit = 1 << v
-            self.budget.spend()
-            size = rsize + (1 if weight is None else weight[v])
-            nxt, inner, counts = step(state, v, cand & adj[v])
-            if counts and size > self.best:
-                self.best = size
-                self.best_mask = rmask | bit
-            if nxt:
-                self._expand_hooked(rmask | bit, size, nxt, inner)
-            cand ^= bit
-
-    def _expand_orbits(self, rmask: int, rsize: int, cand: int, state, gens: Generators) -> None:
-        """_expand (or _expand_hooked) with orbital branching under the
-        group generated by gens, which fixes the clique so far and maps
-        cand onto itself: an optimum through any vertex of v's orbit has
-        an image through v, so once v is branched on its whole orbit
+    def _expand(self, rmask: int, rsize: int, cand: int, state, gens: Generators) -> None:
+        """Every maximum search: branch on the candidates in reverse
+        coloring order, pruned by the coloring bound.  With a hook, a
+        clique becomes the best only when it counts, and the hook trims
+        each child's candidates.  With gens (the group they generate
+        fixes the clique so far and maps cand onto itself) the search
+        branches on orbits: an optimum through any vertex of v's orbit
+        has an image through v, so once v is branched on its whole orbit
         leaves the candidates, and the child searches under v's
-        stabiliser until that is trivial."""
+        stabiliser, () once that is trivial."""
         adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
@@ -553,14 +519,9 @@ class _CliqueSearch:
                 self.best = size
                 self.best_mask = rmask | bit
             if nxt:
-                stab = _stabilizer(gens, v)
-                if stab:
-                    self._expand_orbits(rmask | bit, size, nxt, inner, stab)
-                elif hook is None:
-                    self._expand(rmask | bit, size, nxt)
-                else:
-                    self._expand_hooked(rmask | bit, size, nxt, inner)
-            cand &= ~_orbit(gens, v)
+                stab = _stabilizer(gens, v) if gens else ()
+                self._expand(rmask | bit, size, nxt, inner, stab)
+            cand &= ~_orbit(gens, v) if gens else ~bit
 
     def exists(self, cand: int, need: int, state=None, counts: bool = True) -> bool:
         """Decision variant: is there a clique of weight need inside cand?
@@ -602,7 +563,7 @@ class _CliqueSearch:
         adj, weight, hook = self.adj, self.weight, self.hook
         chosen: list[int] = []
         cand = (1 << self.m) - 1
-        state = None if hook is None else hook.root
+        state = self._root_state()
         left = size
         for q in self.graph.lex():
             if left <= 0:
@@ -648,24 +609,26 @@ class _CliqueSearch:
         self._closing = bool(self.gens)
         if self._closing:
             try:
-                self._collect_orbits([], 0, full, self._root_state(), self.gens)
+                self._collect([], 0, full, self._root_state(), self.gens)
                 return sorted(self.graph.expand(c) for c in self.found), False
             except _Capped:
                 self._closing = False
                 self.found = []
-        self._collect([], 0, full, self._root_state())
+        self._collect([], 0, full, self._root_state(), ())
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
-    def _collect_orbits(self, stack: list[int], size: int, cand: int, state,
-                        gens: Generators) -> None:
-        """_collect with the orbital branching of _expand_orbits.  Every
+    def _collect(self, stack: list[int], size: int, cand: int, state,
+                 gens: Generators) -> None:
+        """Every enumeration: the branching of _expand, collecting each
+        clique of the threshold weight that counts.  Under gens every
         optimum is an image of one collected, and _record closes each
         collected clique under the whole group."""
         adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
         for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] < self.best:
+            reach = size + bounds[i]
+            if reach < self.best or (self._capped and reach == self.best):
                 return
             v = order[i]
             if not (cand >> v) & 1:
@@ -678,38 +641,10 @@ class _CliqueSearch:
             if counts:
                 self._record(stack, grown)
             if nxt:
-                stab = _stabilizer(gens, v)
-                if stab:
-                    self._collect_orbits(stack, grown, nxt, inner, stab)
-                else:
-                    self._collect(stack, grown, nxt, inner)
+                stab = _stabilizer(gens, v) if gens else ()
+                self._collect(stack, grown, nxt, inner, stab)
             stack.pop()
-            cand &= ~_orbit(gens, v)
-
-    def _collect(self, stack: list[int], size: int, cand: int, state) -> None:
-        adj, weight, hook = self.adj, self.weight, self.hook
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
-        for i in range(len(order) - 1, -1, -1):
-            reach = size + bounds[i]
-            if reach < self.best or (self._capped and reach == self.best):
-                return
-            v = order[i]
-            self.budget.spend()
-            stack.append(v)
-            grown = size + (1 if weight is None else weight[v])
-            nxt = cand & adj[v]
-            inner = state
-            if hook is None:
-                self._record(stack, grown)
-            else:
-                nxt, inner, counts = hook.step(state, v, nxt)
-                if counts:
-                    self._record(stack, grown)
-            if nxt:
-                self._collect(stack, grown, nxt, inner)
-            stack.pop()
-            cand ^= 1 << v
+            cand &= ~_orbit(gens, v) if gens else ~(1 << v)
 
     def _record(self, stack: list[int], size: int) -> None:
         if size > self.best:
@@ -846,8 +781,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj,
-                           by_degree=not enumerate_optima)
+    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
                            _NonStarHook(graph, fam.sets, s), _quotient_group(graph, fam))
     if enumerate_optima:

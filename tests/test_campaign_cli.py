@@ -145,6 +145,14 @@ class TestCli:
         payload = json.loads(result.read_text())
         assert payload["value"] == 3 and not payload["limits_hit"]
 
+    @pytest.mark.parametrize("header, key", [("# ground=3\n", "count"),
+                                             ("# count=1\n", "ground")])
+    def test_solve_rejects_a_header_without_a_field(self, header, key, tmp_path, capsys):
+        ffile = tmp_path / "fam.txt"
+        ffile.write_text(header + "0 1\n")
+        assert main(["solve", "--family", str(ffile), "--op", "max-intersecting"]) == 1
+        assert capsys.readouterr().err == f"error: family header lacks '{key}='\n"
+
     def test_solve_transversal(self, tmp_path):
         ffile = tmp_path / "fam.txt"
         ffile.write_text("# ground=7 count=7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n"
@@ -219,9 +227,18 @@ class TestCli:
 
     def test_campaign_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense == broken\n")
-        assert main(["campaign", "--config", str(cfg)]) == 1
-        assert "config-error" in capsys.readouterr().err
+        for config, message in (
+            ("nonsense == broken\n", "config line 1: unknown key 'nonsense'"),
+            ("check = hmm\n", "unknown check 'hmm'; expected one of ekr, hm"),
+            ("mode = all_paths\n",
+             "unknown mode 'all_paths'; expected one of uniform, upto, all-paths"),
+            ("format = xml\n", "unknown format 'xml'; expected one of json, csv"),
+            ("kind = sun\nsun_variant = square\n",
+             "unknown sun_variant 'square'; expected one of binomial, squared"),
+        ):
+            cfg.write_text(config)
+            assert main(["campaign", "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"config-error: {message}\n"
 
     def test_gen_invalid_parameters(self, capsys):
         assert main(["gen", "--kind", "cycle", "--n", "2"]) == 1
@@ -244,6 +261,9 @@ class TestCli:
         ("kind = wheel\n", "unknown kind 'wheel'"),
         ("kind = theta\n", "theta campaigns need strand tuples under key 'a'"),
         ("kind = sun\nn = 2\n", "sun needs n >= 3, got 2"),
+        ("kind = theta\na = 2,3,3\ncheck = hm\n",
+         "check hm runs on cycles only, got kind 'theta'"),
+        ("kind = sun\ncheck = hm\n", "check hm runs on cycles only, got kind 'sun'"),
     ])
     def test_campaign_grid_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

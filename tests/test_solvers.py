@@ -308,6 +308,32 @@ class TestNodeCounts:
                                               enumerate_optima=True)
             assert res.witness == full.witness
 
+    def test_nonstar_enumeration_on_all_paths_of_cycle_9(self):
+        # 699,237 nodes when the quotient was in member order
+        res = max_nonstar_s_intersecting(to_setfamily(enumerate_paths_all(make_cycle(9))), 1,
+                                         enumerate_optima=True)
+        assert res.value == 45 and len(res.all_optima) == 247 and not res.limits_hit
+        assert res.nodes <= 1685
+
+    @pytest.mark.parametrize("solve, fam, value, nodes", [
+        (lambda f: max_s_intersecting(f, 2), lambda: path_family(make_sun(14, 3), 7), 72, 5416),
+        (lambda f: enumerate_maximum_s_intersecting(f, 2),
+         lambda: path_family(make_sun(14, 3), 7), 72, 4709),
+        (lambda f: max_nonstar_s_intersecting(f, 1),
+         lambda: path_family(make_sun(10, 2), 5), 17, 3138),
+        (lambda f: max_nonstar_s_intersecting(f, 1, enumerate_optima=True),
+         lambda: path_family(make_cycle(14), 7), 7, 254),
+        (max_intersecting_sperner,
+         lambda: to_setfamily(enumerate_paths_all(make_sun(6, 1))), 22, 1017),
+    ], ids=["max-sun-14-3", "enum-sun-14-3", "nonstar-sun-10-2", "nonstar-enum-cycle-14",
+            "sperner-sun-6-1"])
+    def test_without_the_group(self, solve, fam, value, nodes):
+        # the searches with the group take 3,829, 1,874, 827, 96 and 367
+        # nodes; these bound the group-free loops
+        res = solve(replace(fam(), symmetry=()))
+        assert res.value == value and res.value_exact and not res.limits_hit
+        assert res.nodes <= nodes
+
     def test_triangular_of_pg7(self):
         # 1,722,693 nodes with a popcount bound and no candidate filter
         res = max_triangular_intersecting(build_pg(make_field(7, 1)).lines)
