@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .graphs import Graph, GraphError, make_graph
 from .oracles import SUN_VARIANTS
-from .solvers import Limits
-from .verdicts import MODES, Verdict, check_ekr, check_hm
+from .solvers import DEFAULT_LIMITS, Limits
+from .verdicts import MODES, Verdict, _instance_tag, check_ekr, check_hm
 
 SCHEMA_VERSION = 1
 
@@ -45,8 +45,8 @@ class CampaignConfig:
     r: list[int] | str = "valid"
     seed: int = 0
     tree_count: int = 1
-    limit_nodes: int = 50_000_000
-    optima_cap: int = 10_000
+    limit_nodes: int = DEFAULT_LIMITS.node_budget
+    optima_cap: int = DEFAULT_LIMITS.optima_cap
     sun_variant: str = "squared"
     out: str | None = None
     format: str = "json"
@@ -155,10 +155,9 @@ def run_campaign(cfg: CampaignConfig) -> dict:
                         verdicts.append(check_ekr(g, cfg.mode, size, s, cfg.limits,
                                                   sun_variant=cfg.sun_variant))
                 except GraphError as exc:
-                    skipped.append({
-                        "instance": {"kind": g.kind, "r": r, "s": s},
-                        "reason": str(exc),
-                    })
+                    instance = _instance_tag(g, "nonstar", r, 1) if cfg.check == "hm" \
+                        else _instance_tag(g, cfg.mode, size, s)
+                    skipped.append({"instance": instance, "reason": str(exc)})
     mismatches = sum(1 for v in verdicts if v.oracle_match is False)
     construction_failures = sum(1 for v in verdicts if v.construction_ok is False)
     limits_hit = sum(1 for v in verdicts if v.limits_hit)

@@ -15,10 +15,11 @@ from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto,
     to_setfamily
 from .projective import FieldError, build_pg, emit_pg_map, field_of_order, \
     triangular_char2, triangular_odd
-from .solvers import Limits, helly_triple_check, max_intersecting_sperner, \
+from .oracles import SUN_VARIANTS
+from .solvers import DEFAULT_LIMITS, Limits, helly_triple_check, max_intersecting_sperner, \
     max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
     min_transversal
-from .verdicts import check_ekr, check_hm
+from .verdicts import MODES, Verdict, check_ekr, check_hm
 
 
 def _write(text: str, out: str | None) -> None:
@@ -98,20 +99,21 @@ def _cmd_check_ekr(args: argparse.Namespace) -> int:
     size = None if args.mode == "all-paths" else (args.k if args.mode == "upto" else args.r)
     verdict = check_ekr(g, args.mode, size, args.s, limits,
                         sun_variant=args.sun_variant)
-    _write(json.dumps(verdict.to_dict(), indent=2) + "\n", args.out)
-    if verdict.oracle_match is False or verdict.construction_ok is False:
-        return campaign_mod.EXIT_MISMATCH
-    return campaign_mod.EXIT_LIMITS if verdict.limits_hit else 0
+    return _emit_verdict(verdict, args.out)
 
 
 def _cmd_check_hm(args: argparse.Namespace) -> int:
-    g = make_cycle(args.n)
     limits = Limits(node_budget=args.limit_nodes, optima_cap=args.optima_cap)
-    verdict = check_hm(g, args.r, limits)
-    _write(json.dumps(verdict.to_dict(), indent=2) + "\n", args.out)
+    return _emit_verdict(check_hm(make_cycle(args.n), args.r, limits), args.out)
+
+
+def _emit_verdict(verdict: Verdict, out: str | None) -> int:
+    """Write the verdict as JSON; exit 2 on an oracle mismatch or a failed
+    construction, 3 when a limit was hit, 0 otherwise."""
+    _write(json.dumps(verdict.to_dict(), indent=2) + "\n", out)
     if verdict.oracle_match is False or verdict.construction_ok is False:
         return campaign_mod.EXIT_MISMATCH
-    return campaign_mod.EXIT_LIMITS if verdict.limits_hit else 0
+    return campaign_mod.EXIT_LIMITS if verdict.limits_hit else campaign_mod.EXIT_CLEAN
 
 
 def _cmd_pg(args: argparse.Namespace) -> int:
@@ -163,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def add_limit_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--limit-nodes", type=int, default=50_000_000)
-        p.add_argument("--optima-cap", type=int, default=10_000)
+        p.add_argument("--limit-nodes", type=int, default=DEFAULT_LIMITS.node_budget)
+        p.add_argument("--optima-cap", type=int, default=DEFAULT_LIMITS.optima_cap)
 
     p = sub.add_parser("gen", help="write a graph in the text format")
     add_graph_args(p)
@@ -191,13 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ekr", help="brute force vs oracle on one instance")
     add_graph_args(p)
-    p.add_argument("--mode", default="uniform",
-                   choices=("uniform", "upto", "all-paths"))
+    p.add_argument("--mode", default="uniform", choices=MODES)
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--sun-variant", default="squared",
-                   choices=("binomial", "squared"))
+    p.add_argument("--sun-variant", default="squared", choices=SUN_VARIANTS)
     add_limit_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_ekr)

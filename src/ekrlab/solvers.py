@@ -10,11 +10,10 @@ with a greedy coloring bound, in one of three modes:
 - degree <= 2 (triangular): a hook drops every candidate that would put
   an element in a third member.
 
-Two recursive loops do the branching in every mode: one for maximum
-searches and one for enumerations (collecting passes).  Each carries
+One recursive loop does the branching in every mode: a collecting pass,
+of which a maximum search is the run that keeps no ties.  It carries
 the hook's state and the symmetry generators in force at the node (see
-below), so a plain or group-free search runs the same loop with no hook
-state and no generators.
+below), so a plain or group-free search runs it with neither.
 
 The plain and non-star searches run on the twin quotient of the graph:
 members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
@@ -426,11 +425,11 @@ class _CliqueSearch:
     group holds generators of automorphisms of the quotient that keep
     the hook's verdicts.
 
-    Two recursive loops do all the branching: _expand for maximum() and
-    _collect for enumerate_exact().  Each carries the hook's state (None
-    without a hook) and the generators of the group in force at the
-    node: while there are any it branches on orbits, and a node whose
-    group is trivial gets () and runs no orbit or stabiliser work."""
+    One recursive loop, _collect, branches for maximum() and
+    enumerate_exact(); exists() is the certification's decision search.
+    _collect carries the hook's state (None without a hook) and the
+    generators of the group in force at the node: while there are any it
+    branches on orbits, and a node whose group is trivial gets ()."""
 
     def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None,
                  group: tuple[Perm, ...] = ()) -> None:
@@ -441,24 +440,32 @@ class _CliqueSearch:
         self.budget = budget
         self.hook = hook
         self.gens: Generators = tuple((g, _inverse(g)) for g in group)
-        self.best = 0
-        self.best_mask = 0
 
-    def maximum(self, stop_at: int | None = None,
-                seed: tuple[int, int] | None = None) -> tuple[int, int, bool]:
-        """(weight, quotient mask, limits_hit) of a heaviest clique that
-        counts; partial best survives a budget overrun.  seed is a known
-        clique (weight, quotient mask) used as a warm lower bound; the
-        search stops once it holds a clique of weight stop_at."""
-        self.best, self.best_mask = self._greedy_seed(seed)
-        self._stop_at = stop_at
-        full = (1 << self.m) - 1
-        hit = False
+    def _start(self, best: int, found: list, cap: int, closing: bool) -> None:
+        """Set up a collecting pass: threshold best, the cliques of that
+        weight held, the cap (capped once more are held), and whether
+        collected cliques are closed under the group."""
+        self.best = best
+        self.found: list[Sequence[int]] = found
+        self._seen: set[Sequence[int]] = set()
+        self._cap = cap
+        self._capped = len(found) > cap
+        self._closing = closing
+
+    def maximum(self, seed: tuple[int, int] | None = None) -> tuple[int, tuple[int, ...], bool]:
+        """(weight, clique as ascending quotient vertices, limits_hit) of
+        a heaviest clique that counts; partial best survives a budget
+        overrun.  seed is a known clique (weight, quotient mask) used as
+        a warm lower bound.  The collecting pass with cap 0, holding the
+        warm clique and closing nothing: it prunes on <= best, and only
+        a heavier clique replaces the one held."""
+        weight, mask = self._greedy_seed(seed)
+        self._start(weight, [elems_of(mask)], 0, False)
         try:
-            self._expand(0, 0, full, self._root_state(), self.gens)
+            self._collect([], 0, (1 << self.m) - 1, self._root_state(), self.gens)
         except _BudgetExceeded:
-            hit = True
-        return self.best, self.best_mask, hit
+            return self.best, self.found[0], True
+        return self.best, self.found[0], False
 
     def _root_state(self):
         return None if self.hook is None else self.hook.root
@@ -488,40 +495,6 @@ class _CliqueSearch:
                 if counts:
                     best = (size, mask)
         return seed if seed is not None and seed[0] > best[0] else best
-
-    def _expand(self, rmask: int, rsize: int, cand: int, state, gens: Generators) -> None:
-        """Every maximum search: branch on the candidates in reverse
-        coloring order, pruned by the coloring bound.  With a hook, a
-        clique becomes the best only when it counts, and the hook trims
-        each child's candidates.  With gens (the group they generate
-        fixes the clique so far and maps cand onto itself) the search
-        branches on orbits: an optimum through any vertex of v's orbit
-        has an image through v, so once v is branched on its whole orbit
-        leaves the candidates, and the child searches under v's
-        stabiliser, () once that is trivial."""
-        adj, weight, hook = self.adj, self.weight, self.hook
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bounds[i] <= self.best:
-                return
-            if self._stop_at is not None and self.best >= self._stop_at:
-                return
-            v = order[i]
-            if not (cand >> v) & 1:
-                continue
-            bit = 1 << v
-            self.budget.spend()
-            size = rsize + (1 if weight is None else weight[v])
-            nxt, inner, counts = (cand & adj[v], state, True) if hook is None \
-                else hook.step(state, v, cand & adj[v])
-            if counts and size > self.best:
-                self.best = size
-                self.best_mask = rmask | bit
-            if nxt:
-                stab = _stabilizer(gens, v) if gens else ()
-                self._expand(rmask | bit, size, nxt, inner, stab)
-            cand &= ~_orbit(gens, v) if gens else ~bit
 
     def exists(self, cand: int, need: int, state=None, counts: bool = True) -> bool:
         """Decision variant: is there a clique of weight need inside cand?
@@ -590,7 +563,8 @@ class _CliqueSearch:
         threshold moves up as heavier cliques turn up: cliques of the
         current best weight are collected, and a heavier one resets the
         list.  Once more than cap are held, only a heavier clique can
-        matter, so the search prunes on <= best until one turns up.  On a
+        matter, so the search prunes on <= best until one turns up; with
+        cap 0 and a clique held from the start that is maximum().  On a
         budget overrun the partial state stays in best and found
         (quotient vertices).
 
@@ -598,15 +572,10 @@ class _CliqueSearch:
         collects under the group.  Once that holds more than cap optima
         the list is a sample, and the group-free pass draws it from the
         weight reached, so that no answer depends on the group."""
-        self.best = floor
-        self.found: list[Sequence[int]] = []
-        self._seen: set[Sequence[int]] = set()
-        self._cap = cap
-        self._capped = False
+        self._start(floor, [], cap, bool(self.gens))
         if self.m == 0:
             return [()], False
         full = (1 << self.m) - 1
-        self._closing = bool(self.gens)
         if self._closing:
             try:
                 self._collect([], 0, full, self._root_state(), self.gens)
@@ -619,10 +588,14 @@ class _CliqueSearch:
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
                  gens: Generators) -> None:
-        """Every enumeration: the branching of _expand, collecting each
-        clique of the threshold weight that counts.  Under gens every
-        optimum is an image of one collected, and _record closes each
-        collected clique under the whole group."""
+        """Every clique search: branch on the candidates in reverse
+        coloring order, pruned by the coloring bound against best, and
+        hand each clique that counts to _record; the hook trims each
+        child's candidates.  With gens (the group they generate fixes
+        the clique on stack and maps cand onto itself) it branches on
+        orbits: an optimum through any vertex of v's orbit has an image
+        through v, so after v its whole orbit leaves the candidates, and
+        the child searches under v's stabiliser, () once trivial."""
         adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
@@ -697,13 +670,12 @@ def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | No
     return graph.contract(mask)
 
 
-def _certified_maximum(search: _CliqueSearch, stop_at: int | None = None,
-                       seed: tuple[int, int] | None = None) -> SolveResult:
+def _certified_maximum(search: _CliqueSearch, seed: tuple[int, int] | None = None) -> SolveResult:
     """maximum() and then the lex-least certification of its value; on a
     budget overrun the best clique found so far is the witness."""
-    value, mask, hit = search.maximum(stop_at, seed)
+    value, clique, hit = search.maximum(seed)
     budget = search.budget
-    partial = search.graph.expand(elems_of(mask))
+    partial = search.graph.expand(clique)
     if hit:
         return SolveResult(value=value, witness=partial, nodes=budget.used,
                            limits_hit=True, value_exact=False)
@@ -767,17 +739,15 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
                                limits: Limits = DEFAULT_LIMITS,
-                               enumerate_optima: bool = False,
-                               upper_hint: int | None = None) -> SolveResult:
+                               enumerate_optima: bool = False) -> SolveResult:
     """Largest s-intersecting subfamily whose common intersection has
     fewer than s elements, with a lex-least witness.
 
     The clique search runs with the non-star hook.  Any nonempty
     s-intersecting family of at most two members is an s-star, so
-    infeasible means no subfamily qualifies at all.  upper_hint, a known
-    upper bound on the value, stops the search once a clique reaches it.
-    With enumerate_optima the value and the optima come from one
-    collecting pass, so the optima cap counts non-star optima.
+    infeasible means no subfamily qualifies at all.  With
+    enumerate_optima the value and the optima come from one collecting
+    pass, so the optima cap counts non-star optima.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -787,7 +757,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if enumerate_optima:
         res = _enumerated(search, (0, 0), limits.optima_cap)
     else:
-        res = _certified_maximum(search, stop_at=upper_hint)
+        res = _certified_maximum(search)
     if res.value == 0 and res.value_exact:
         return SolveResult(value=0, witness=(), nodes=res.nodes, infeasible=True)
     return res
@@ -969,14 +939,14 @@ def max_intersecting_sperner(fam: SetFamily,
     graph = _twin_quotient(tuple(rows), by_degree=False)
     budget = _Budget(limits.node_budget)
     search = _CliqueSearch(graph, budget, group=_quotient_group(graph, fam))
-    value, mask, hit = search.maximum()
+    value, clique, hit = search.maximum()
     if hit:
-        return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+        return SolveResult(value=value, witness=graph.expand(clique),
                            nodes=budget.used, limits_hit=True, value_exact=False)
     try:
         optima, capped = search.enumerate_exact(value, limits.optima_cap)
     except _BudgetExceeded:
-        return SolveResult(value=value, witness=graph.expand(elems_of(mask)),
+        return SolveResult(value=value, witness=graph.expand(clique),
                            nodes=budget.used, limits_hit=True)
     uniform = None
     if capped:

@@ -227,7 +227,7 @@ def test_criterion_05_sun_not_ekr_all_paths():
         if omega != star:
             failures.append(f"C_{n} all paths: max {omega} != star {star}")
         built = build_sun_hm_family(n, 0)
-        nonstar = max_nonstar_s_intersecting(fam, 1, upper_hint=omega).value
+        nonstar = max_nonstar_s_intersecting(fam, 1).value
         if nonstar != star or is_s_star(built, 1).is_star or len(built) != star:
             failures.append(f"C_{n}: the swapped-star family should tie at {star}")
     assert time.perf_counter() - started < 300

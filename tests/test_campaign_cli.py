@@ -51,6 +51,15 @@ class TestRunCampaign:
         report = run_campaign(cfg)
         assert report["summary"]["exit_code"] == 0
         assert report["summary"]["oracle_matches"] == report["summary"]["points"]
+        # r = 9 is too long for theta(2,3,3) but not for theta(2,4,4); the
+        # skip names the host it was skipped on
+        cfg = CampaignConfig(kind="theta", a=[(2, 3, 3), (2, 4, 4)], s=[1], r=[9])
+        report = run_campaign(cfg)
+        assert report["summary"]["points"] == 1
+        assert report["skipped"] == [{
+            "instance": {"kind": "theta", "mode": "uniform", "s": 1, "a": [2, 3, 3], "r": 9},
+            "reason": "need 1 <= r <= 7, got r=9",
+        }]
 
     def test_hm_sweep(self):
         cfg = CampaignConfig(kind="cycle", check="hm", n=[9, 12], s=[1], r="valid")

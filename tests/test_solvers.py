@@ -219,14 +219,13 @@ class TestOnePassAgainstSubsetScan:
         for fam in differential_families():
             for s in (1, 2, 3):
                 value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar=True)
-                for hint in (None, value):
-                    res = max_nonstar_s_intersecting(fam, s, upper_hint=hint)
-                    assert res.value == value, (fam.name, s, hint)
-                    assert res.value_exact and not res.limits_hit
-                    if optima:
-                        assert res.witness == min(optima), (fam.name, s, hint)
-                    else:
-                        assert res.infeasible and res.witness == ()
+                res = max_nonstar_s_intersecting(fam, s)
+                assert res.value == value, (fam.name, s)
+                assert res.value_exact and not res.limits_hit
+                if optima:
+                    assert res.witness == min(optima), (fam.name, s)
+                else:
+                    assert res.infeasible and res.witness == ()
 
     def test_triangular_maximum(self):
         for fam in differential_families():
@@ -385,14 +384,6 @@ class TestNonStar:
         fam = path_family(make_random_tree(7, 2), 3)
         res = max_nonstar_s_intersecting(fam, 1)
         assert res.infeasible and res.value == 0
-
-    def test_upper_hint_short_circuits(self):
-        fam = to_setfamily(enumerate_paths_all(make_cycle(6)))
-        omega = max_s_intersecting(fam, 1).value
-        hinted = max_nonstar_s_intersecting(fam, 1, upper_hint=omega)
-        plain = max_nonstar_s_intersecting(fam, 1)
-        assert hinted.value == plain.value == omega
-        assert hinted.nodes <= plain.nodes
 
     def test_budget_overrun_keeps_a_nonstar_clique(self):
         # without the group: orbital branching proves this value in 827
