@@ -94,6 +94,7 @@ def parse_config(text: str) -> CampaignConfig:
         val = getattr(cfg, key)
         if val not in allowed:
             raise ValueError(f"unknown {key} {val!r}; expected one of {', '.join(allowed)}")
+    cfg.limits  # raises on a negative node budget or optima cap
     return cfg
 
 

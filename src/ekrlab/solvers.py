@@ -46,14 +46,33 @@ them into permutations of quotient vertices.  At a node whose group is
 non-trivial the search branches on orbits (orbital branching): after
 branching on v, v's whole orbit leaves the candidates, since an optimum
 through any vertex of it has an image through v, and the child searches
-under v's stabiliser, whose generators come from Schreier's lemma
-without listing the group.  A maximum found that way is a maximum.  An
-enumeration closes the cliques it collects under the group's generators,
-so it still lists every optimum, and the optima cap still counts optima;
-a capped list is a sample drawn by the group-free pass, so no answer
-depends on the group.  The certification pass stays symmetry-free, so
-witnesses are unchanged.  A node is still one branched vertex; the
-vertices skipped as orbit images are not counted.
+under v's stabiliser, whose generators come from Schreier's lemma.
+
+Once the stabiliser is trivial, orbital branching would find images of
+cliques it already holds.  So the search also lists the group, when its
+order is at most m^2 for m quotient vertices (every dihedral group of a
+cycle or sun and small theta groups such as theta(3,3,3,3)'s, of order
+48; theta((2,)*7)'s, of order 10,080, is not listed), and skips a
+candidate below the root when some element maps the branch to one
+already searched (symmetry breaking by dominance, SBDS): with the
+branch p_1..p_k and U_j the vertices the nodes on p_1..p_j were done
+with (branched, orbit-skipped or skipped this way) when the path went
+on, v is skipped when some listed g and j <= k have p_1..p_j in
+g(p_1..p_k, v) and g(p_1..p_k, v) meeting U_j.
+Every clique through p_1..p_j and a vertex of U_j has an image that an
+earlier branch collected, or proved lighter than best, under a threshold
+no higher than the current one, so every clique through the skipped
+branch does too.  That holds with the hooks, which the group preserves,
+and in a maximum search, which keeps no ties.
+
+A maximum found that way is a maximum.  An enumeration adds all images
+of each clique it collects, under each listed element (or, with the
+group unlisted, by a closure under the generators), so it still lists
+every optimum, and the optima cap still counts optima; a capped list is
+a sample drawn by the group-free pass, so no answer depends on the
+group.  The certification pass stays symmetry-free, so witnesses are
+unchanged.  A node is one branched vertex: the vertices skipped as orbit
+images or by the dominance check are not counted.
 
 Transversals use hitting-set branch and bound on a minimum uncovered
 member with two lower bounds: a greedy packing of pairwise-disjoint
@@ -83,6 +102,12 @@ sys.setrecursionlimit(100_000)
 class Limits:
     node_budget: int = 50_000_000
     optima_cap: int = 10_000
+
+    def __post_init__(self) -> None:
+        # 0 is legal for both; below 0 a search would report from no data
+        for name in ("node_budget", "optima_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"need {name} >= 0, got {getattr(self, name)}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -351,6 +376,29 @@ def _stabilizer(gens: Generators, v: int) -> Generators:
     return tuple(sorted(stab.items()))
 
 
+def _list_group(gens: Generators, m: int) -> tuple[Perm, ...]:
+    """Every non-identity element of the group gens generate, by a
+    breadth-first closure over the generators; () when the group is
+    trivial or its order passes m * m (m the number of points)."""
+    if not gens:
+        return ()
+    # compose m-long lists of images, cheaper than 256-byte tables; pad at the end
+    ident = (bytes if type(gens[0][0]) is bytes else tuple)(range(m))
+    elements = {ident}
+    queue = [ident]
+    for h in queue:
+        for g, _ in gens:
+            gh = _compose(g, h)
+            if gh not in elements:
+                if len(elements) >= m * m:
+                    return ()
+                elements.add(gh)
+                queue.append(gh)
+    if type(ident) is tuple:
+        return tuple(queue[1:])
+    return tuple(h + _BYTE_IDENTITY[m:] for h in queue[1:])
+
+
 class _Capped(Exception):
     """A collecting pass under a group holds more than cap optima."""
 
@@ -414,6 +462,11 @@ class _DegreeCapHook(_Hook):
         return cand, once | mask, True
 
 
+# A dominance-check entry for a listed element g at a node with stack
+# p_1..p_k: (g, mask of g(stack), the largest j <= k with p_1..p_j in it).
+_Lead = tuple[Perm, int, int]
+
+
 class _CliqueSearch:
     """Branch and bound core shared by the clique-shaped operations.
 
@@ -423,13 +476,17 @@ class _CliqueSearch:
     candidates and says which cliques count; the coloring bound stays
     valid for those.  Unhooked searches make no per-node hook call.
     group holds generators of automorphisms of the quotient that keep
-    the hook's verdicts.
+    the hook's verdicts; elements lists the group they generate without
+    the identity, or is () when its order passes m^2.
 
     One recursive loop, _collect, branches for maximum() and
     enumerate_exact(); exists() is the certification's decision search.
     _collect carries the hook's state (None without a hook) and the
     generators of the group in force at the node: while there are any it
-    branches on orbits, and a node whose group is trivial gets ()."""
+    branches on orbits, and a node whose group is trivial gets ().  With
+    the group listed it also runs the dominance check (_dominating) at
+    every candidate below the root, in every pass but the group-free one
+    that draws a capped sample.  A node is one branched vertex."""
 
     def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None,
                  group: tuple[Perm, ...] = ()) -> None:
@@ -440,6 +497,7 @@ class _CliqueSearch:
         self.budget = budget
         self.hook = hook
         self.gens: Generators = tuple((g, _inverse(g)) for g in group)
+        self.elements = _list_group(self.gens, self.m)
 
     def _start(self, best: int, found: list, cap: int, closing: bool) -> None:
         """Set up a collecting pass: threshold best, the cliques of that
@@ -451,6 +509,10 @@ class _CliqueSearch:
         self._cap = cap
         self._capped = len(found) > cap
         self._closing = closing
+        # the dominance check's state: the elements it tries (none in a
+        # group-free pass) and U_-1..U_k-1 along the stack
+        self._listed = self.elements
+        self._done = [0]
 
     def maximum(self, seed: tuple[int, int] | None = None) -> tuple[int, tuple[int, ...], bool]:
         """(weight, clique as ascending quotient vertices, limits_hit) of
@@ -582,12 +644,13 @@ class _CliqueSearch:
                 return sorted(self.graph.expand(c) for c in self.found), False
             except _Capped:
                 self._closing = False
+                self._listed = ()
                 self.found = []
         self._collect([], 0, full, self._root_state(), ())
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
-                 gens: Generators) -> None:
+                 gens: Generators, lead: list[_Lead] | None = None) -> None:
         """Every clique search: branch on the candidates in reverse
         coloring order, pruned by the coloring bound against best, and
         hand each clique that counts to _record; the hook trims each
@@ -595,10 +658,18 @@ class _CliqueSearch:
         the clique on stack and maps cand onto itself) it branches on
         orbits: an optimum through any vertex of v's orbit has an image
         through v, so after v its whole orbit leaves the candidates, and
-        the child searches under v's stabiliser, () once trivial."""
+        the child searches under v's stabiliser, () once trivial.
+
+        With the group listed, a candidate below the root whose clique
+        has an image in a searched branch (see _dominating) is skipped
+        and leaves the candidates with its orbit, as if branched on; it
+        is not a node.  lead holds an entry for each listed g with
+        g^-1(p_1) on the stack."""
         adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
+        listed = self._listed
+        start = cand
         for i in range(len(order) - 1, -1, -1):
             reach = size + bounds[i]
             if reach < self.best or (self._capped and reach == self.best):
@@ -606,6 +677,13 @@ class _CliqueSearch:
             v = order[i]
             if not (cand >> v) & 1:
                 continue
+            if listed:
+                # U_k: U_k-1 and the vertices this node is done with
+                done = self._done[-1] | (start & ~cand)
+                child_lead = self._dominating(stack, v, lead, done)
+                if child_lead is None:
+                    cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+                    continue
             self.budget.spend()
             stack.append(v)
             grown = size + (1 if weight is None else weight[v])
@@ -615,9 +693,73 @@ class _CliqueSearch:
                 self._record(stack, grown)
             if nxt:
                 stab = _stabilizer(gens, v) if gens else ()
-                self._collect(stack, grown, nxt, inner, stab)
+                if listed:
+                    self._done.append(done)
+                    self._collect(stack, grown, nxt, inner, stab, child_lead)
+                    self._done.pop()
+                else:
+                    self._collect(stack, grown, nxt, inner, stab)
             stack.pop()
             cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+
+    def _dominating(self, stack: list[int], v: int, lead: list[_Lead] | None,
+                    done: int) -> list[_Lead] | None:
+        """The dominance check of a candidate v at depth k = len(stack),
+        with stack p_1..p_k and done U_k: None when some listed g and
+        some j <= k have p_1..p_j in g(stack + v) and g(stack + v)
+        meeting U_j, where U_j holds the vertices the nodes on p_1..p_j
+        were done with when the path went on.  Every clique through
+        p_1..p_j and a vertex of U_j has an image that an earlier branch
+        collected (or proved too light) under a threshold no higher than
+        best, so then every clique through stack + v does too.
+        Otherwise the lead of v's child.
+
+        U_0 is a union of whole orbits and misses stack + v, so only the
+        g with g^-1(p_1) in stack + v can qualify: those carried in lead
+        and those with g(v) = p_1.  At the root (k = 0) nothing is
+        skipped and lead is None; the table of the latter is built for
+        p_1 = v.
+
+        U_j only grows with j, so the test is on the largest j.  A lead
+        entry passed this test at the parent, so its image of the stack
+        misses U_j (U_j is done when j = k: then g maps the stack onto
+        itself), and only g(v) can meet it, unless g(v) = p_j+1 makes j
+        larger."""
+        k = len(stack)
+        if not k:
+            to_root: dict[int, list[Perm]] = {}
+            for g in self._listed:
+                to_root.setdefault(g.index(v), []).append(g)
+            # per root branch p_1, the elements taking each vertex to p_1
+            self._to_root = to_root
+            return [(g, 1 << v, 1) for g in to_root.get(v, ())]
+        prefix = self._done
+        child: list[_Lead] = []
+        for g, mask, j in lead:
+            w = g[v]
+            mask |= 1 << w
+            if j < k and w == stack[j]:
+                # g(v) = p_j+1 extends the prefix that the image holds
+                j += 1
+                while j < k and (mask >> stack[j]) & 1:
+                    j += 1
+                if mask & (done if j == k else prefix[j + 1]):
+                    return None
+            elif (done if j == k else prefix[j + 1]) >> w & 1:
+                return None
+            child.append((g, mask, j + 1 if j == k and (mask >> v) & 1 else j))
+        for g in self._to_root.get(v, ()):
+            # g(v) = p_1: a new image of the stack
+            mask = 1 << stack[0]
+            for u in stack:
+                mask |= 1 << g[u]
+            j = 1
+            while j < k and (mask >> stack[j]) & 1:
+                j += 1
+            if mask & (done if j == k else prefix[j + 1]):
+                return None
+            child.append((g, mask, j + 1 if j == k and (mask >> v) & 1 else j))
+        return child
 
     def _record(self, stack: list[int], size: int) -> None:
         if size > self.best:
@@ -636,25 +778,29 @@ class _CliqueSearch:
     def _close(self, stack: list[int]) -> None:
         """Add the clique on stack and its images under the group to
         found, unless an earlier clique's images hold it; _Capped once
-        more than cap are held.  found holds them ascending, as bytes
-        when the group's tables are bytes (translate maps them)."""
-        seen, found, gens, cap = self._seen, self.found, self.gens, self._cap
-        as_seq = bytes if type(gens[0][0]) is bytes else tuple
+        more than cap are held.  With the group listed the images are
+        those under each element; otherwise a breadth-first closure
+        under the generators.  found holds them ascending, as bytes when
+        the group's tables are bytes (translate maps them)."""
+        seen, found, cap = self._seen, self.found, self._cap
+        perms = self.elements or [g for g, _ in self.gens]
+        as_seq = bytes if type(perms[0]) is bytes else tuple
         clique = as_seq(sorted(stack))
         if clique in seen:
             return
         seen.add(clique)
         found.append(clique)
-        i = len(found) - 1
-        while i < len(found):
-            for g, _ in gens:
-                image = as_seq(sorted(_compose(g, found[i])))
+        queue = [clique]
+        for c in queue:
+            for g in perms:
+                image = as_seq(sorted(_compose(g, c)))
                 if image not in seen:
                     seen.add(image)
                     found.append(image)
+                    if not self.elements:
+                        queue.append(image)
             if len(found) > cap:
                 raise _Capped
-            i += 1
 
 
 def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:

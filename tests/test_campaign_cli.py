@@ -29,6 +29,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config("kind cycle\n")
 
+    def test_negative_limits(self):
+        for line in ("optima_cap = -1", "limit_nodes = -1"):
+            with pytest.raises(ValueError, match=">= 0"):
+                parse_config(f"kind = cycle\n{line}\n")
+        cfg = parse_config("optima_cap = 0\nlimit_nodes = 0\n")
+        assert (cfg.limit_nodes, cfg.optima_cap) == (0, 0)
+
 
 class TestRunCampaign:
     def test_cycle_sweep_clean(self):
@@ -244,10 +251,22 @@ class TestCli:
             ("format = xml\n", "unknown format 'xml'; expected one of json, csv"),
             ("kind = sun\nsun_variant = square\n",
              "unknown sun_variant 'square'; expected one of binomial, squared"),
+            ("optima_cap = -1\n", "need optima_cap >= 0, got -1"),
+            ("limit_nodes = -5\n", "need node_budget >= 0, got -5"),
         ):
             cfg.write_text(config)
             assert main(["campaign", "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == f"config-error: {message}\n"
+
+    @pytest.mark.parametrize("flag, name", [("--optima-cap", "optima_cap"),
+                                            ("--limit-nodes", "node_budget")])
+    def test_negative_limit_flags(self, flag, name, capsys):
+        # a negative limit used to give a verdict from no data, with exit 0
+        argv = ["check-ekr", "--kind", "cycle", "--n", "10", "--r", "4", flag, "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need {name} >= 0, got -1\n"
 
     def test_gen_invalid_parameters(self, capsys):
         assert main(["gen", "--kind", "cycle", "--n", "2"]) == 1

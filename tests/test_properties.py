@@ -2,18 +2,21 @@
 
 Random small families (ground <= 10, at most 12 members, duplicates
 allowed) are checked against the all-subsets scans in helpers, for the
-value and the lex-least witness.  Half of the families are closed under
-a rotation of the ground set and carry it as their symmetry, so the
-searches also branch on orbits.  derandomize keeps every run on the same
-examples.
+value and the lex-least witness, and for the enumerations the full list
+of optima.  Half of the families are symmetric: closed under a rotation
+of the ground set, or under the rotation and the reflection e -> -e
+(the dihedral group), and carrying those permutations as their
+symmetry, so the searches also branch on orbits, skip branches whose
+image was searched and close their optima under the group.  derandomize
+keeps every run on the same examples.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from ekrlab.families import SetFamily
-from ekrlab.solvers import max_nonstar_s_intersecting, max_s_intersecting, \
-    max_triangular_intersecting
+from ekrlab.solvers import enumerate_maximum_s_intersecting, max_nonstar_s_intersecting, \
+    max_s_intersecting, max_triangular_intersecting
 
 MAX_GROUND = 10
 MAX_MEMBERS = 12
@@ -21,8 +24,12 @@ MAX_MEMBERS = 12
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
-def _rotate(mask: int, ground: int) -> int:
-    return ((mask << 1) | (mask >> (ground - 1))) & ((1 << ground) - 1)
+def _permute(mask: int, perm: tuple[int, ...]) -> int:
+    out = 0
+    for e, image in enumerate(perm):
+        if (mask >> e) & 1:
+            out |= 1 << image
+    return out
 
 
 @st.composite
@@ -32,16 +39,20 @@ def families(draw) -> SetFamily:
     if not draw(st.booleans()):
         sets = draw(st.lists(member, max_size=MAX_MEMBERS))
         return SetFamily(ground=ground, sets=tuple(sorted(sets)))
-    # whole orbits under the rotation e -> e+1 mod ground, while they fit
+    symmetry = [tuple((e + 1) % ground for e in range(ground))]
+    if draw(st.booleans()):
+        symmetry.append(tuple(-e % ground for e in range(ground)))
+    # whole orbits under the group, while they fit
     sets: list[int] = []
     for seed in draw(st.lists(member, min_size=1, max_size=4)):
         orbit = [seed]
-        while (image := _rotate(orbit[-1], ground)) != seed:
-            orbit.append(image)
+        for mask in orbit:
+            for perm in symmetry:
+                if (image := _permute(mask, perm)) not in orbit:
+                    orbit.append(image)
         if len(sets) + len(orbit) <= MAX_MEMBERS:
             sets += orbit
-    rotation = tuple((e + 1) % ground for e in range(ground))
-    return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=(rotation,))
+    return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=tuple(symmetry))
 
 
 @SETTINGS
@@ -72,3 +83,25 @@ def test_max_triangular_intersecting(fam, s):
     res = max_triangular_intersecting(fam, s)
     assert (res.value, res.witness) == helpers.naive_max_triangular(fam, s)
     assert res.value_exact and not res.limits_hit
+
+
+@SETTINGS
+@given(families(), st.sampled_from((1, 2, 3)))
+def test_enumerate_maximum_s_intersecting(fam, s):
+    value, optima = helpers.naive_all_max_s_intersecting(fam, s)
+    res = enumerate_maximum_s_intersecting(fam, s)
+    assert (res.value, res.all_optima) == (value, tuple(sorted(optima)))
+    assert res.value_exact and not res.limits_hit
+
+
+@SETTINGS
+@given(families(), st.sampled_from((1, 2, 3)))
+def test_enumerate_nonstar_optima(fam, s):
+    value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar=True)
+    res = max_nonstar_s_intersecting(fam, s, enumerate_optima=True)
+    assert res.value == value
+    assert res.value_exact and not res.limits_hit
+    if optima:
+        assert res.all_optima == tuple(sorted(optima)) and not res.infeasible
+    else:
+        assert res.infeasible and res.all_optima is None

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import helpers
-from ekrlab import paths, verdicts
+from ekrlab import paths, solvers, verdicts
 from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, stats
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
@@ -121,6 +121,14 @@ class TestEnumerateMaximum:
         fam = path_family(make_cycle(12), 6)
         res = enumerate_maximum_s_intersecting(fam, 1, Limits(optima_cap=2))
         assert res.limits_hit and len(res.all_optima) == 2
+
+    def test_negative_limits_are_rejected(self):
+        # optima_cap=-1 used to give check_ekr a "star" verdict on an
+        # empty optimum; zero stays legal for both
+        for field in ("node_budget", "optima_cap"):
+            with pytest.raises(ValueError, match=f"need {field} >= 0, got -1"):
+                Limits(**{field: -1})
+        assert Limits(node_budget=0, optima_cap=0).optima_cap == 0
 
     def test_capped_witness(self):
         # cap 5 keeps the uncapped lex-least witness; cap 0 still reports
@@ -263,25 +271,27 @@ class TestNodeCounts:
         # the cap counts non-star optima only: all 312 fit under 400
         res = max_nonstar_s_intersecting(path_family(make_cycle(26), 12), 1,
                                          Limits(optima_cap=400), enumerate_optima=True)
-        assert res.nodes <= 4754
+        assert res.nodes <= 218  # 1,648 with orbital branching alone
         assert len(res.all_optima) == 312 and not res.limits_hit
 
     def test_orbital_enumeration_on_sun_16_3(self):
         # its 16 optima are the rotations of one star; 10,442 nodes
-        # without orbital branching
+        # without orbital branching, 4,499 without the dominance check
         res = enumerate_maximum_s_intersecting(path_family(make_sun(16, 3), 8), 2)
         assert res.value == 88 and len(res.all_optima) == 16 and not res.limits_hit
-        assert res.nodes <= 4499
+        assert res.nodes <= 3267
 
     def test_orbital_enumeration_on_all_paths_of_cycle_11(self):
-        # 36,806 nodes without orbital branching
+        # 36,806 nodes without orbital branching, 10,946 without the
+        # dominance check
         res = enumerate_maximum_s_intersecting(
             to_setfamily(enumerate_paths_all(make_cycle(11))), 1)
         assert res.value == 66 and len(res.all_optima) == 1024 and not res.limits_hit
-        assert res.nodes <= 10_946
+        assert res.nodes <= 2542
 
     def test_check_hm_on_cycle_26_13(self, monkeypatch):
-        # 8,166 non-star optima; 16,382 nodes without orbital branching
+        # 8,166 non-star optima; 16,382 nodes without orbital branching,
+        # 6,144 without the dominance check
         solved = []
 
         def recording(fam, s, limits, **options):
@@ -292,7 +302,7 @@ class TestNodeCounts:
         v = verdicts.check_hm(make_cycle(26), 13)
         assert v.value_exact and not v.limits_hit and v.classification == "other"
         [res] = solved
-        assert len(res.all_optima) == 8166 and res.nodes <= 6144
+        assert len(res.all_optima) == 8166 and res.nodes <= 1033
 
     def test_nonstar_maximum_on_suns(self):
         # without twin contraction and the non-star hook in the clique
@@ -327,7 +337,7 @@ class TestNodeCounts:
     ], ids=["max-sun-14-3", "enum-sun-14-3", "nonstar-sun-10-2", "nonstar-enum-cycle-14",
             "sperner-sun-6-1"])
     def test_without_the_group(self, solve, fam, value, nodes):
-        # the searches with the group take 3,829, 1,874, 827, 96 and 367
+        # the searches with the group take 3,588, 1,401, 578, 41 and 289
         # nodes; these bound the group-free loops
         res = solve(replace(fam(), symmetry=()))
         assert res.value == value and res.value_exact and not res.limits_hit
@@ -386,7 +396,7 @@ class TestNonStar:
         assert res.infeasible and res.value == 0
 
     def test_budget_overrun_keeps_a_nonstar_clique(self):
-        # without the group: orbital branching proves this value in 827
+        # without the group: the search with it proves this value in 578
         # nodes; TestOrbitalBranching sweeps budgets with the group on
         fam = replace(path_family(make_sun(10, 2), 5), symmetry=())
         res = max_nonstar_s_intersecting(fam, 1, Limits(node_budget=1000))
@@ -564,6 +574,33 @@ class TestOrbitalBranching:
                     helpers.solver_outcomes(replace(fam, symmetry=())), (g.meta, label)
                 checked += 1
         assert checked >= 100
+
+    @staticmethod
+    def _listed(fam):
+        """The group elements the s=1 clique search on fam lists."""
+        graph = solvers._twin_quotient(solvers.CompatibilityGraph.build(fam, 1).adj)
+        group = solvers._quotient_group(graph, fam)
+        assert group
+        return solvers._CliqueSearch(graph, solvers._Budget(0), group=group).elements
+
+    def test_group_within_the_listing_bound(self):
+        # theta(3,3,3,3): order 48, at most m^2 on each quotient, so every
+        # non-identity element is listed (the differential above checks
+        # its answers); cycle(12): the dihedral group of order 24
+        for r in (1, 2, 3, 4, 5):
+            assert len(self._listed(path_family(make_theta((3, 3, 3, 3)), r))) == 47
+        assert len(self._listed(path_family(make_cycle(12), 6))) == 23
+
+    def test_group_above_the_listing_bound(self):
+        # theta((2,)*7): order 2 * 7! = 10,080 on 9, 14 and 43 quotient
+        # vertices, above m^2, so nothing is listed and the search runs
+        # with orbital branching and closure under the generators only
+        g = make_theta((2,) * 7)
+        for r in (1, 2, 3):
+            fam = path_family(g, r)
+            assert self._listed(fam) == ()
+            assert helpers.solver_outcomes(fam) == \
+                helpers.solver_outcomes(replace(fam, symmetry=())), r
 
     def test_check_hm_does_not_depend_on_the_group(self, monkeypatch):
         grid = [(n, r) for n in range(6, 21) for r in range(1, n + 1)]
