@@ -4,9 +4,10 @@ machine-readable reports.
 Config files are flat key = value text; ranges use 'a..b', lists use
 commas, theta strand tuples are comma-separated ints joined by
 semicolons.  Grid points outside generator preconditions are skipped
-with a recorded reason.  Exit code contract: 2 on any oracle-vs-brute
-mismatch or failed construction predicate, 3 when any solver hit its
-limits, 0 clean.
+with a recorded reason.  A campaign exits with the gravest of its
+verdicts' exit codes (Verdict.exit_code): 2 when any verdict has an
+oracle-vs-brute mismatch or a failed construction predicate, otherwise 3
+when any search hit its limits, otherwise 0.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from . import __version__
 from .graphs import Graph, GraphError, make_graph
 from .oracles import SUN_VARIANTS
 from .solvers import DEFAULT_LIMITS, Limits
-from .verdicts import MODES, Verdict, _instance_tag, check_ekr, check_hm
+from .verdicts import EXIT_CLEAN, EXIT_LIMITS, EXIT_MISMATCH, MODES, Verdict, \
+    _instance_tag, check_ekr, check_hm
 
 SCHEMA_VERSION = 1
-
-EXIT_CLEAN = 0
-EXIT_MISMATCH = 2
-EXIT_LIMITS = 3
 
 # the keys whose value is one of a fixed set of choices
 CHOICES = {"check": ("ekr", "hm"), "mode": MODES, "format": ("json", "csv"),
@@ -162,12 +160,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     mismatches = sum(1 for v in verdicts if v.oracle_match is False)
     construction_failures = sum(1 for v in verdicts if v.construction_ok is False)
     limits_hit = sum(1 for v in verdicts if v.limits_hit)
-    if mismatches or construction_failures:
-        exit_code = EXIT_MISMATCH
-    elif limits_hit:
-        exit_code = EXIT_LIMITS
-    else:
-        exit_code = EXIT_CLEAN
+    codes = {v.exit_code for v in verdicts}
+    exit_code = next((c for c in (EXIT_MISMATCH, EXIT_LIMITS) if c in codes), EXIT_CLEAN)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "ekrlab",
@@ -212,19 +206,11 @@ def emit_report(report: dict, fmt: str = "json") -> str:
             row = dict(v["instance"])
             if "a" in row:
                 row["a"] = "-".join(str(x) for x in row["a"])
-            row.update({
-                "family_size": v["family_size"],
-                "brute_value": v["brute_value"],
-                "oracle_value": v["oracle"]["value"] if v["oracle"] else "",
-                "oracle_applicable": v["oracle"]["applicable"] if v["oracle"] else "",
-                "max_star_size": v["max_star"]["size"],
-                "is_ekr": v["is_ekr"],
-                "is_strict": v["is_strict"],
-                "classification": v["classification"],
-                "construction_ok": v["construction_ok"],
-                "limits_hit": v["limits_hit"],
-                "runtime_ms": v["runtime_ms"],
-            })
+            row.update({key: v[key] for key in CSV_COLUMNS if key in v})
+            oracle = v["oracle"] or {"value": "", "applicable": ""}
+            row["oracle_value"] = oracle["value"]
+            row["oracle_applicable"] = oracle["applicable"]
+            row["max_star_size"] = v["max_star"]["size"]
             writer.writerow(row)
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")

@@ -31,7 +31,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _graph_from_args(args: argparse.Namespace):
-    a = tuple(int(x) for x in args.a.split(",")) if args.kind == "theta" else ()
+    a = ()
+    if args.kind == "theta":
+        if not args.a:
+            raise GraphError("theta needs its strand lengths, e.g. --a 2,3,3")
+        a = tuple(int(x) for x in args.a.split(","))
     return make_graph(args.kind, n=args.n, t=args.t, a=a, seed=args.seed)
 
 
@@ -108,12 +112,9 @@ def _cmd_check_hm(args: argparse.Namespace) -> int:
 
 
 def _emit_verdict(verdict: Verdict, out: str | None) -> int:
-    """Write the verdict as JSON; exit 2 on an oracle mismatch or a failed
-    construction, 3 when a limit was hit, 0 otherwise."""
+    """Write the verdict as JSON and exit with its exit code."""
     _write(json.dumps(verdict.to_dict(), indent=2) + "\n", out)
-    if verdict.oracle_match is False or verdict.construction_ok is False:
-        return campaign_mod.EXIT_MISMATCH
-    return campaign_mod.EXIT_LIMITS if verdict.limits_hit else campaign_mod.EXIT_CLEAN
+    return verdict.exit_code
 
 
 def _cmd_pg(args: argparse.Namespace) -> int:

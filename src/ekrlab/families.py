@@ -219,7 +219,12 @@ def parse_family(text: str) -> SetFamily:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing '# ground=n count=m' header")
-    fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+    fields = {}
+    for token in lines[0].lstrip("# ").split():
+        pair = token.split("=")
+        if len(pair) != 2:
+            raise ValueError(f"family header token {token!r} is not 'key=value'")
+        fields[pair[0]] = pair[1]
     for key in ("ground", "count"):
         if key not in fields:
             raise ValueError(f"family header lacks '{key}='")

@@ -13,7 +13,8 @@ with a greedy coloring bound, in one of three modes:
 One recursive loop does the branching in every mode: a collecting pass,
 of which a maximum search is the run that keeps no ties.  It carries
 the hook's state and the symmetry generators in force at the node (see
-below), so a plain or group-free search runs it with neither.
+below); a plain search's hook keeps every candidate and counts every
+clique.
 
 The plain and non-star searches run on the twin quotient of the graph:
 members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
@@ -329,15 +330,12 @@ def _inverse(perm: Perm) -> Perm:
     return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-Generators = tuple[tuple[Perm, Perm], ...]
-
-
-def _orbit(gens: Generators, v: int) -> int:
+def _orbit(gens: tuple[Perm, ...], v: int) -> int:
     """v's orbit under the group generated by gens, as a mask."""
     orbit = 1 << v
     queue = [v]
     for u in queue:
-        for g, _ in gens:
+        for g in gens:
             w = g[u]
             if not (orbit >> w) & 1:
                 orbit |= 1 << w
@@ -345,49 +343,44 @@ def _orbit(gens: Generators, v: int) -> int:
     return orbit
 
 
-def _stabilizer(gens: Generators, v: int) -> Generators:
+def _stabilizer(gens: tuple[Perm, ...], v: int) -> tuple[Perm, ...]:
     """Generators of v's stabiliser in the group generated by gens.
 
-    gens are (permutation, inverse) pairs.  Schreier's lemma: with t_u a
-    group element taking v to u (a transversal built while walking the
-    orbit), the elements t_g(u)^-1 g t_u, over every orbit point u and
-    generator g, fix v and generate the stabiliser.  Identities and
-    duplicates are dropped; the group itself is never listed."""
-    if all(g[v] == v for g, _ in gens):
+    Schreier's lemma: with t_u a group element taking v to u (a
+    transversal built while walking the orbit), the elements
+    t_g(u)^-1 g t_u, over every orbit point u and generator g, fix v and
+    generate the stabiliser.  Identities and duplicates are dropped; the
+    group itself is never listed."""
+    if all(g[v] == v for g in gens):
         return gens
-    ident = _BYTE_IDENTITY if type(gens[0][0]) is bytes else tuple(range(len(gens[0][0])))
-    trans = {v: (ident, ident)}
-    stab: dict[Perm, Perm] = {}
+    trans = {v: _BYTE_IDENTITY if type(gens[0]) is bytes else tuple(range(len(gens[0])))}
+    stab: set[Perm] = set()
     queue = [v]
     for u in queue:
-        t, t_inv = trans[u]
-        for g, g_inv in gens:
+        t = trans[u]
+        for g in gens:
             w = g[u]
             gt = _compose(g, t)
             if w not in trans:
-                trans[w] = (gt, _compose(t_inv, g_inv))
+                trans[w] = gt
                 queue.append(w)
-                continue
-            t_w, t_w_inv = trans[w]
-            if gt != t_w:
-                perm = _compose(t_w_inv, gt)
-                if perm not in stab:
-                    stab[perm] = _compose(t_inv, _compose(g_inv, t_w))
-    return tuple(sorted(stab.items()))
+            elif gt != trans[w]:
+                stab.add(_compose(_inverse(trans[w]), gt))
+    return tuple(sorted(stab))
 
 
-def _list_group(gens: Generators, m: int) -> tuple[Perm, ...]:
+def _list_group(gens: tuple[Perm, ...], m: int) -> tuple[Perm, ...]:
     """Every non-identity element of the group gens generate, by a
     breadth-first closure over the generators; () when the group is
     trivial or its order passes m * m (m the number of points)."""
     if not gens:
         return ()
     # compose m-long lists of images, cheaper than 256-byte tables; pad at the end
-    ident = (bytes if type(gens[0][0]) is bytes else tuple)(range(m))
+    ident = (bytes if type(gens[0]) is bytes else tuple)(range(m))
     elements = {ident}
     queue = [ident]
     for h in queue:
-        for g, _ in gens:
+        for g in gens:
             gh = _compose(g, h)
             if gh not in elements:
                 if len(elements) >= m * m:
@@ -462,6 +455,20 @@ class _DegreeCapHook(_Hook):
         return cand, once | mask, True
 
 
+class _PlainHook:
+    """The hook of an unconstrained search: every candidate stays and
+    every clique counts."""
+
+    root = None
+
+    @staticmethod
+    def step(state: None, v: int, cand: int) -> tuple[int, None, bool]:
+        return cand, state, True
+
+
+_PLAIN = _PlainHook()
+
+
 # A dominance-check entry for a listed element g at a node with stack
 # p_1..p_k: (g, mask of g(stack), the largest j <= k with p_1..p_j in it).
 _Lead = tuple[Perm, int, int]
@@ -472,32 +479,32 @@ class _CliqueSearch:
 
     It runs on a quotient: sizes are weights (class sizes), with weighted
     coloring bounds when some class has more than one member, and
-    cliques are sets of quotient vertices.  An optional hook trims the
-    candidates and says which cliques count; the coloring bound stays
-    valid for those.  Unhooked searches make no per-node hook call.
+    cliques are sets of quotient vertices.  The hook trims the candidates
+    and says which cliques count (the plain hook keeps every candidate
+    and counts every clique); the coloring bound stays valid for those.
     group holds generators of automorphisms of the quotient that keep
     the hook's verdicts; elements lists the group they generate without
     the identity, or is () when its order passes m^2.
 
     One recursive loop, _collect, branches for maximum() and
     enumerate_exact(); exists() is the certification's decision search.
-    _collect carries the hook's state (None without a hook) and the
-    generators of the group in force at the node: while there are any it
-    branches on orbits, and a node whose group is trivial gets ().  With
-    the group listed it also runs the dominance check (_dominating) at
-    every candidate below the root, in every pass but the group-free one
-    that draws a capped sample.  A node is one branched vertex."""
+    _collect carries the hook's state and the generators of the group in
+    force at the node: while there are any it branches on orbits, and a
+    node whose group is trivial gets ().  With the group listed it also
+    runs the dominance check (_dominating) at every candidate below the
+    root, in every pass but the group-free one that draws a capped
+    sample.  A node is one branched vertex."""
 
-    def __init__(self, graph: _Quotient, budget: _Budget, hook: _Hook | None = None,
-                 group: tuple[Perm, ...] = ()) -> None:
+    def __init__(self, graph: _Quotient, budget: _Budget,
+                 hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = ()) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
         self.hook = hook
-        self.gens: Generators = tuple((g, _inverse(g)) for g in group)
-        self.elements = _list_group(self.gens, self.m)
+        self.gens = group
+        self.elements = _list_group(group, self.m)
 
     def _start(self, best: int, found: list, cap: int, closing: bool) -> None:
         """Set up a collecting pass: threshold best, the cliques of that
@@ -524,47 +531,39 @@ class _CliqueSearch:
         weight, mask = self._greedy_seed(seed)
         self._start(weight, [elems_of(mask)], 0, False)
         try:
-            self._collect([], 0, (1 << self.m) - 1, self._root_state(), self.gens)
+            self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens)
         except _BudgetExceeded:
             return self.best, self.found[0], True
         return self.best, self.found[0], False
 
-    def _root_state(self):
-        return None if self.hook is None else self.hook.root
-
     def _greedy_seed(self, seed: tuple[int, int] | None = None) -> tuple[int, int]:
         """The heavier of seed and a degree-greedy clique (degrees
         counting members) as (weight, quotient mask); a warm lower bound
-        for the search.  With a hook on, the greedy takes only candidates
-        the hook keeps, and its clique is its heaviest prefix that counts
-        ((0, 0) when none does)."""
+        for the search.  The greedy takes only candidates the hook keeps,
+        and its clique is its heaviest prefix that counts ((0, 0) when
+        none does)."""
         adj, weight, degree, hook = self.adj, self.weight, self.graph.degree, self.hook
         order = sorted(range(self.m), key=lambda v: (-degree[v], v))
         mask = 0
         size = 0
         best = (0, 0)
         cand = (1 << self.m) - 1
-        state = self._root_state()
+        state = hook.root
         for v in order:
             if (cand >> v) & 1:
                 mask |= 1 << v
                 size += 1 if weight is None else weight[v]
-                counts = True
-                if hook is None:
-                    cand &= adj[v]
-                else:
-                    cand, state, counts = hook.step(state, v, cand & adj[v])
+                cand, state, counts = hook.step(state, v, cand & adj[v])
                 if counts:
                     best = (size, mask)
         return seed if seed is not None and seed[0] > best[0] else best
 
-    def exists(self, cand: int, need: int, state=None, counts: bool = True) -> bool:
-        """Decision variant: is there a clique of weight need inside cand?
-        With a hook on, state is the hook's state of the clique taken so
-        far, counts whether that clique counts, and the clique found must
-        count too.  need always completes a maximum, so no clique that
-        counts weighs more: a vertex that reaches need answers yes, and
-        the hooked search skips a vertex that overshoots it."""
+    def exists(self, cand: int, need: int, state, counts: bool) -> bool:
+        """Decision variant: is there a clique of weight need inside cand
+        that counts?  state is the hook's state of the clique taken so
+        far and counts whether that clique counts.  need always completes
+        a maximum, so no clique that counts weighs more: the search skips
+        a vertex that overshoots need."""
         if need <= 0:
             return counts
         adj, weight, hook = self.adj, self.weight, self.hook
@@ -576,10 +575,7 @@ class _CliqueSearch:
             v = order[i]
             self.budget.spend()
             rest = need - (1 if weight is None else weight[v])
-            if hook is None:
-                if rest <= 0 or self.exists(cand & adj[v], rest):
-                    return True
-            elif rest >= 0:
+            if rest >= 0:
                 nxt, inner, ok = hook.step(state, v, cand & adj[v])
                 if self.exists(nxt, rest, inner, ok):
                     return True
@@ -598,7 +594,7 @@ class _CliqueSearch:
         adj, weight, hook = self.adj, self.weight, self.hook
         chosen: list[int] = []
         cand = (1 << self.m) - 1
-        state = self._root_state()
+        state = hook.root
         left = size
         for q in self.graph.lex():
             if left <= 0:
@@ -606,8 +602,7 @@ class _CliqueSearch:
             if not (cand >> q) & 1:
                 continue
             rest = left - (1 if weight is None else weight[q])
-            nxt, inner, counts = (cand & adj[q], state, True) if hook is None \
-                else hook.step(state, q, cand & adj[q])
+            nxt, inner, counts = hook.step(state, q, cand & adj[q])
             if rest >= 0 and self.exists(nxt, rest, inner, counts):
                 chosen.append(q)
                 cand, left, state = nxt, rest, inner
@@ -640,17 +635,17 @@ class _CliqueSearch:
         full = (1 << self.m) - 1
         if self._closing:
             try:
-                self._collect([], 0, full, self._root_state(), self.gens)
+                self._collect([], 0, full, self.hook.root, self.gens)
                 return sorted(self.graph.expand(c) for c in self.found), False
             except _Capped:
                 self._closing = False
                 self._listed = ()
                 self.found = []
-        self._collect([], 0, full, self._root_state(), ())
+        self._collect([], 0, full, self.hook.root, ())
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
-                 gens: Generators, lead: list[_Lead] | None = None) -> None:
+                 gens: tuple[Perm, ...], lead: list[_Lead] | None = None) -> None:
         """Every clique search: branch on the candidates in reverse
         coloring order, pruned by the coloring bound against best, and
         hand each clique that counts to _record; the hook trims each
@@ -687,8 +682,7 @@ class _CliqueSearch:
             self.budget.spend()
             stack.append(v)
             grown = size + (1 if weight is None else weight[v])
-            nxt, inner, counts = (cand & adj[v], state, True) if hook is None \
-                else hook.step(state, v, cand & adj[v])
+            nxt, inner, counts = hook.step(state, v, cand & adj[v])
             if counts:
                 self._record(stack, grown)
             if nxt:
@@ -783,7 +777,7 @@ class _CliqueSearch:
         under the generators.  found holds them ascending, as bytes when
         the group's tables are bytes (translate maps them)."""
         seen, found, cap = self._seen, self.found, self._cap
-        perms = self.elements or [g for g, _ in self.gens]
+        perms = self.elements or self.gens
         as_seq = bytes if type(perms[0]) is bytes else tuple
         clique = as_seq(sorted(stack))
         if clique in seen:
@@ -1009,47 +1003,35 @@ class _HittingSearch:
     def lex_least(self, size: int) -> tuple[int, ...]:
         """Certification pass: the lexicographically least hitting set of
         the given size.  Each element in turn is taken when the members it
-        leaves uncovered can still be hit by the elements left; otherwise
-        it is forbidden for the rest of the pass."""
+        leaves uncovered can still be hit by the elements after it;
+        otherwise it is dropped for the rest of the pass.  The elements
+        before it are spent either way: a dropped one is out, and a taken
+        one hits no member still uncovered."""
         chosen: list[int] = []
         unhit = self.full
-        self._forbid(0)
-        forbidden = 0
         for e in range(len(self.holders)):
             if len(chosen) == size:
                 break
             rest = unhit & ~self.holders[e]
-            if self._can_hit(rest, size - len(chosen) - 1):
+            if self._can_hit(rest, size - len(chosen) - 1, e + 1):
                 chosen.append(e)
                 unhit = rest
-            else:
-                forbidden |= 1 << e
-                self._forbid(forbidden)
         if len(chosen) != size or unhit:
             raise AssertionError("certification pass lost the optimum")
         return tuple(chosen)
 
-    def _forbid(self, forbidden: int) -> None:
-        """Rebuild what _can_hit needs about the elements still allowed."""
-        self.allowed = ~forbidden
-        self.allowed_holders = [h for e, h in enumerate(self.holders)
-                                if not (forbidden >> e) & 1]
-        self.cover = 0
-        for h in self.allowed_holders:
-            self.cover |= h
-
-    def _can_hit(self, unhit: int, k: int) -> bool:
-        """Can k allowed elements hit every member of unhit?"""
+    def _can_hit(self, unhit: int, k: int, first: int) -> bool:
+        """Can k elements from first on hit every member of unhit?"""
         if not unhit:
             return True
-        if unhit & ~self.cover or self._packing_exceeds(unhit, k) or \
-                _degrees_fall_short(self.allowed_holders, unhit, k):
+        if self._packing_exceeds(unhit, k) or \
+                _degrees_fall_short(self.holders[first:], unhit, k):
             return False
-        sets, allowed = self.sets, self.allowed
+        sets, allowed = self.sets, -1 << first
         pivot = min(elems_of(unhit), key=lambda i: (sets[i] & allowed).bit_count())
         for e in elems_of(sets[pivot] & allowed):
             self.budget.spend()
-            if self._can_hit(unhit & ~self.holders[e], k - 1):
+            if self._can_hit(unhit & ~self.holders[e], k - 1, first):
                 return True
         return False
 

@@ -21,9 +21,13 @@ from .oracles import OracleValue
 from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
 from .solvers import DEFAULT_LIMITS, Limits, SolveResult, \
-    enumerate_maximum_s_intersecting, max_nonstar_s_intersecting, max_s_intersecting
+    enumerate_maximum_s_intersecting, max_nonstar_s_intersecting
 
 MODES = ("uniform", "upto", "all-paths")
+
+EXIT_CLEAN = 0
+EXIT_MISMATCH = 2
+EXIT_LIMITS = 3
 
 
 @dataclass(frozen=True)
@@ -43,29 +47,12 @@ class Verdict:
     value_exact: bool = True
 
     def to_dict(self) -> dict:
-        oracle = None
+        """The fields in declaration order, the order in which the
+        dataclass sets them, with the oracle's fields as a dict too."""
+        out = dict(vars(self))
         if self.oracle is not None:
-            oracle = {
-                "value": self.oracle.value,
-                "applicable": self.oracle.applicable,
-                "condition": self.oracle.condition,
-                "source": self.oracle.source,
-            }
-        return {
-            "instance": self.instance,
-            "family_size": self.family_size,
-            "max_star": self.max_star,
-            "brute_value": self.brute_value,
-            "oracle": oracle,
-            "is_ekr": self.is_ekr,
-            "is_strict": self.is_strict,
-            "classification": self.classification,
-            "witnesses": self.witnesses,
-            "construction_ok": self.construction_ok,
-            "runtime_ms": self.runtime_ms,
-            "limits_hit": self.limits_hit,
-            "value_exact": self.value_exact,
-        }
+            out["oracle"] = dict(vars(self.oracle))
+        return out
 
     @property
     def oracle_match(self) -> bool | None:
@@ -75,6 +62,15 @@ class Verdict:
         if self.oracle is None or not self.oracle.applicable or not self.value_exact:
             return None
         return self.oracle.value == self.brute_value
+
+    @property
+    def exit_code(self) -> int:
+        """EXIT_MISMATCH (2) on an oracle mismatch or a failed
+        construction, otherwise EXIT_LIMITS (3) when a search hit its
+        limits, otherwise EXIT_CLEAN (0)."""
+        if self.oracle_match is False or self.construction_ok is False:
+            return EXIT_MISMATCH
+        return EXIT_LIMITS if self.limits_hit else EXIT_CLEAN
 
 
 def build_family(g: Graph, mode: str, size: int | None) -> SetFamily:
@@ -123,25 +119,29 @@ def matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
     return starts in families
 
 
+def _sun_params(g: Graph) -> tuple[int, int] | None:
+    """(n, t) of a sun, with a cycle the sun with t = 0; None otherwise."""
+    if g.kind == "cycle":
+        return g.meta["n"], 0
+    if g.kind == "sun":
+        return g.meta["n"], g.meta["t"]
+    return None
+
+
 def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
                      sun_variant: str) -> OracleValue | None:
-    kind = g.kind
-    if kind == "cycle":
-        n, t = g.meta["n"], 0
-    elif kind == "sun":
-        n, t = g.meta["n"], g.meta["t"]
-    else:
-        n = t = None
-    if mode == "uniform" and kind in ("cycle", "sun"):
-        return oracles.sun_bound(n, t, size, s, variant=sun_variant)
-    if mode == "all-paths" and kind in ("cycle", "sun"):
+    sun = _sun_params(g)
+    if mode == "uniform" and sun is not None:
+        return oracles.sun_bound(*sun, size, s, variant=sun_variant)
+    if mode == "all-paths" and sun is not None:
         if s != 1:
             return None
+        n, t = sun
         counts = oracles.sun_allpaths_counts(n, t)
         return OracleValue(value=counts["hm"], applicable=True,
                            condition=f"all paths of a sun [n={n} t={t}]",
                            source="sun-allpaths-max")
-    if mode == "uniform" and kind == "theta" and s == 1:
+    if mode == "uniform" and g.kind == "theta" and s == 1:
         a = g.meta["a"]
         if len(a) == 2 and sorted(a) == [1, 2]:
             return OracleValue.out_of_range("theta(1,2) is the triangle",
@@ -163,8 +163,7 @@ def star_flags_of(fam: SetFamily, optima, s: int) -> list[bool]:
 
 
 def check_ekr(g: Graph, mode: str, size: int | None, s: int,
-              limits: Limits = DEFAULT_LIMITS, enumerate_optima: bool = True,
-              sun_variant: str = "squared") -> Verdict:
+              limits: Limits = DEFAULT_LIMITS, sun_variant: str = "squared") -> Verdict:
     """Full brute-force verdict for one instance.
 
     Star centers are searched over the s-subsets of family members only,
@@ -175,13 +174,8 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
     """
     start = time.perf_counter()
     fam = build_family(g, mode, size)
-    star_size, star_center = best_full_star(fam, s) if len(fam) else (0, 0)
-    limits_hit = False
-    if enumerate_optima:
-        solved = enumerate_maximum_s_intersecting(fam, s, limits)
-    else:
-        solved = max_s_intersecting(fam, s, limits)
-    limits_hit |= solved.limits_hit
+    star_size, star_center = best_full_star(fam, s)
+    solved = enumerate_maximum_s_intersecting(fam, s, limits)
     is_ekr = solved.value == star_size if solved.value_exact else None
     is_strict: bool | None = None
     classification = "unknown"
@@ -217,7 +211,7 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
         witnesses={"optimum": [list(fam.member(i)) for i in solved.witness]},
         construction_ok=construction_ok,
         runtime_ms=runtime_ms,
-        limits_hit=limits_hit,
+        limits_hit=solved.limits_hit,
         value_exact=solved.value_exact,
     )
 
@@ -228,22 +222,19 @@ def _check_construction(g: Graph, mode: str, size: int | None, s: int,
     """Verify the explicit extremal family for instances that have one:
     it must satisfy its claimed predicates and match the exact brute
     value."""
+    sun = _sun_params(g)
     try:
-        if g.kind in ("cycle", "sun") and mode == "uniform":
-            n = g.meta["n"]
-            t = 0 if g.kind == "cycle" else g.meta["t"]
-            built = oracles.build_sun_star_family(n, t, size, s)
+        if mode == "uniform" and sun is not None:
+            built = oracles.build_sun_star_family(*sun, size, s)
             ok = is_s_intersecting(built, s)
             ok &= is_s_star(built, s).is_star
             ok &= len(built) == solved.value
             return ok
-        if g.kind in ("cycle", "sun") and mode == "all-paths" and s == 1:
-            n = g.meta["n"]
-            t = 0 if g.kind == "cycle" else g.meta["t"]
-            built = oracles.build_sun_hm_family(n, t)
+        if mode == "all-paths" and s == 1 and sun is not None:
+            built = oracles.build_sun_hm_family(*sun)
             ok = is_s_intersecting(built, 1)
             ok &= not is_s_star(built, 1).is_star
-            ok &= len(built) == oracles.sun_allpaths_counts(n, t)["hm"]
+            ok &= len(built) == oracles.sun_allpaths_counts(*sun)["hm"]
             return ok
         if g.kind == "theta" and mode == "uniform" and s == 1:
             a = g.meta["a"]

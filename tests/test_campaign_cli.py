@@ -99,6 +99,30 @@ class TestRunCampaign:
         assert report["summary"]["exit_code"] == 0
         assert CampaignConfig().sun_variant == "squared"
 
+    def test_mismatch_outranks_limits(self):
+        # one point that both mismatches (the binomial reading at r = s+2)
+        # and hits a limit (a cap of 0 optima): the mismatch decides
+        cfg = CampaignConfig(kind="sun", n=[8], t=[1], s=[2], r=[4],
+                             sun_variant="binomial", optima_cap=0)
+        summary = run_campaign(cfg)["summary"]
+        assert (summary["oracle_mismatches"], summary["limits_hit"]) == (1, 1)
+        assert summary["exit_code"] == 2
+
+    def test_upto_and_all_paths_grids(self):
+        # upto runs k = 1..n//2; all-paths is one point per instance and s
+        cfg = CampaignConfig(kind="cycle", mode="upto", n=[6, 7], s=[1])
+        report = run_campaign(cfg)
+        assert [(v["instance"]["n"], v["instance"]["k"]) for v in report["verdicts"]] == \
+            [(6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (7, 3)]
+        assert report["summary"]["exit_code"] == 0
+        cfg = CampaignConfig(kind="sun", mode="all-paths", n=[5], t=[1], s=[1, 2])
+        report = run_campaign(cfg)
+        assert [v["instance"] for v in report["verdicts"]] == [
+            {"kind": "sun", "mode": "all-paths", "s": s, "n": 5, "t": 1} for s in (1, 2)]
+        assert [v["brute_value"] for v in report["verdicts"]] == [60, 48]
+        assert report["summary"]["oracle_matches"] == 1
+        assert report["summary"]["exit_code"] == 0
+
     def test_deterministic_apart_from_runtime(self):
         cfg = CampaignConfig(kind="sun", n=[6], t=[1], s=[1], r="valid")
         a = run_campaign(cfg)
@@ -146,6 +170,15 @@ class TestCli:
                      "--out", str(out)]) == 0
         g = parse_graph(out.read_text())
         assert g.n == 7 and g.m == 8
+
+    def test_paths_all_and_upto(self, tmp_path):
+        gfile = tmp_path / "c6.txt"
+        ffile = tmp_path / "paths.txt"
+        assert main(["gen", "--kind", "cycle", "--n", "6", "--out", str(gfile)]) == 0
+        # six paths of each order 1..6; of order 1 and 2 for --upto 2
+        for flags, count in ((["--all"], 36), (["--upto", "2"], 12)):
+            assert main(["paths", "--graph", str(gfile), *flags, "--out", str(ffile)]) == 0
+            assert len(parse_family(ffile.read_text())) == count
 
     def test_paths_and_solve(self, tmp_path):
         gfile = tmp_path / "c8.txt"
@@ -203,6 +236,13 @@ class TestCli:
         assert json.loads(out.read_text())["oracle"]["value"] == 8
         assert main(args + ["--sun-variant", "binomial"]) == 2
         assert json.loads(out.read_text())["oracle"]["value"] == 7
+
+    def test_limit_exit_codes(self, tmp_path):
+        out = tmp_path / "v.json"
+        for argv in (["check-ekr", "--kind", "cycle", "--n", "8", "--r", "4"],
+                     ["check-hm", "--n", "12", "--r", "5"]):
+            assert main(argv + ["--limit-nodes", "1", "--out", str(out)]) == 3
+            assert json.loads(out.read_text())["limits_hit"]
 
     def test_check_hm_verdict(self, tmp_path):
         out = tmp_path / "v.json"
@@ -275,11 +315,13 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["gen", "--kind", "cycle", "--n", "2"], "cycle needs n >= 3, got 2"),
         (["gen", "--kind", "sun", "--n", "5", "--t", "-1"], "sun needs t >= 0, got -1"),
-        (["gen", "--kind", "theta"], "invalid literal for int() with base 10: ''"),
+        (["gen", "--kind", "theta"], "theta needs its strand lengths, e.g. --a 2,3,3"),
         (["gen", "--kind", "theta", "--a", "3,2"], "strand lengths must be sorted ascending"),
         (["gen", "--kind", "tree", "--n", "0"], "tree needs n >= 1, got 0"),
         (["check-ekr", "--kind", "theta", "--a", "2,x", "--r", "3"],
          "invalid literal for int() with base 10: 'x'"),
+        (["check-ekr", "--kind", "theta", "--r", "3"],
+         "theta needs its strand lengths, e.g. --a 2,3,3"),
     ])
     def test_graph_parameter_errors(self, argv, message, capsys):
         assert main(argv) == 1

@@ -161,6 +161,8 @@ class TestTextFormat:
             parse_family("# ground=3 count=2\n0 1\n")
         with pytest.raises(ValueError):
             parse_family("0 1\n")
+        with pytest.raises(ValueError, match="header token 'x'"):
+            parse_family("# ground=3 count=1 x\n0 1\n")
 
 
 class TestSymmetry:

@@ -459,6 +459,31 @@ class TestMinTransversal:
                 assert res.value_exact and not res.limits_hit
         assert checked >= 100
 
+    # 12 triples over 10 points: tau = 4, found in 6 nodes of the
+    # minimum search and certified lex-least in 7 more
+    BUDGET_FAMILY = SetFamily.from_vertex_sets(10, [
+        {3, 4, 5}, {4, 5, 6}, {1, 2, 7}, {2, 3, 7}, {1, 5, 7}, {0, 6, 7},
+        {0, 2, 8}, {0, 4, 8}, {4, 5, 8}, {4, 5, 9}, {1, 6, 9}, {4, 8, 9}])
+
+    def test_budget_overrun_in_the_minimum_search(self):
+        fam = self.BUDGET_FAMILY
+        res = min_transversal(fam, Limits(node_budget=0))
+        assert res.limits_hit and not res.value_exact
+        # the greedy hitting set survives as the partial answer
+        assert res.value == len(res.witness) >= 4
+        assert all(mask & mask_of(res.witness) for mask in fam.sets)
+
+    def test_budget_overrun_in_the_certification(self):
+        fam = self.BUDGET_FAMILY
+        full = min_transversal(fam)
+        assert (full.value, full.witness, full.nodes) == (4, (0, 1, 2, 4), 13)
+        # a budget the minimum search uses up: its value is exact, but the
+        # witness is the minimum search's, not the certified lex-least one
+        res = min_transversal(fam, Limits(node_budget=6))
+        assert res.limits_hit and res.value_exact
+        assert res.value == 4 and res.witness != full.witness
+        assert len(res.witness) == 4 and all(mask & mask_of(res.witness) for mask in fam.sets)
+
     def test_tau_sandwich(self):
         # ceil(m/delta) <= tau <= min(ceil(m/2), min member size)
         import math

@@ -109,11 +109,6 @@ class TestCheckEkr:
                 assert star_flags_of(fam, optima, s) == expected, (g.kind, mode, s)
         assert star_flags_of(SetFamily(ground=2, sets=()), [()], 1) == [False]
 
-    def test_without_optima_enumeration(self):
-        v = check_ekr(make_cycle(8), "uniform", 3, 1, enumerate_optima=False)
-        assert v.brute_value == 3 and v.is_ekr
-        assert v.is_strict is None
-
     def test_bad_mode(self):
         with pytest.raises(GraphError):
             build_family(make_cycle(6), "nonsense", 3)
