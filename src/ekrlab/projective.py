@@ -94,6 +94,13 @@ class FieldSpec:
 
     The modulus is the lexicographically smallest irreducible when built
     through make_field, comparing coefficients lowest degree first.
+
+    Arithmetic is by table lookup.  The tables are built on first use in
+    O(q) steps of coefficient arithmetic: the powers of the least
+    primitive element g (exp, twice over, so a sum of two logs needs no
+    reduction), their logs, the negations, and Zech logs (g^zech[i] =
+    1 + g^i, None where that sum is 0), through which
+    g^i + g^j = g^(i + zech[j - i]).
     """
 
     p: int
@@ -117,38 +124,85 @@ class FieldSpec:
             val = val * self.p + c
         return val
 
-    def add(self, a: int, b: int) -> int:
+    def _coeff_add(self, a: int, b: int) -> int:
+        """a + b on coefficient vectors: fills the tables, and is the
+        reference the table lookups are tested against."""
         ca, cb = self.element_coeffs(a), self.element_coeffs(b)
         return self._encode(tuple((x + y) % self.p for x, y in zip(ca, cb)))
 
-    def neg(self, a: int) -> int:
-        return self._encode(tuple((-x) % self.p for x in self.element_coeffs(a)))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
+    def _coeff_mul(self, a: int, b: int) -> int:
+        """a * b as polynomials reduced by the modulus; like _coeff_add."""
         prod = _poly_mul(_poly_trim(self.element_coeffs(a)),
                          _poly_trim(self.element_coeffs(b)), self.p)
         return self._encode(_poly_mod(prod, self.modulus, self.p) or (0,))
 
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int], list[int | None], list[int]]:
+        """(exp, log, zech, neg); see the class docstring."""
+        q, n = self.q, self.q - 1
+        for g in range(1, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._coeff_mul(x, g)
+            if len(powers) == n:
+                break
+        log = [0] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        zech = [None if s == 0 else log[s]
+                for s in (self._coeff_add(1, x) for x in powers)]
+        neg = [self._encode(tuple(-c % self.p for c in self.element_coeffs(a)))
+               for a in range(q)]
+        return powers + powers, log, zech, neg
+
+    @property
+    def primitive(self) -> int:
+        """The least element that generates the multiplicative group."""
+        return self._tables[0][1]
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech, _ = self._tables
+        i = log[a]
+        z = zech[log[b] - i]   # a negative index wraps mod q-1
+        return 0 if z is None else exp[i + z]
+
+    def neg(self, a: int) -> int:
+        return self._tables[3][a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self._tables[3][b])
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        exp, log, _, _ = self._tables
+        return exp[log[a] + log[b]]
+
     def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        exp, log, _, _ = self._tables
+        return exp[log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.pow(a, self.q - 2)
+        exp, log, _, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("division by 0 in a finite field")
+        if not a:
+            return 0
+        exp, log, _, _ = self._tables
+        return exp[log[a] - log[b] + self.q - 1]
 
     @cached_property
     def elements(self) -> range:
@@ -233,37 +287,83 @@ class PGPlane:
         return "(w,w)"
 
 
-def build_pg(spec: FieldSpec) -> PGPlane:
-    """All q^2+q+1 lines in slope-intercept coordinates: the affine lines
-    y = mx + b closed off with (w,m), the verticals x = b closed off with
-    (w,w), and the line at infinity."""
+def _plane_order(spec: FieldSpec) -> int:
     q = spec.q
     if q > MAX_PG_ORDER:
         raise FieldError(f"plane order capped at {MAX_PG_ORDER}, got {q}")
-    masks = []
-    index: list[tuple[int, int]] = []
-    for m in range(q):
-        for b in range(q):
-            pts = [point_id(q, x, spec.add(spec.mul(m, x), b)) for x in range(q)]
-            pts.append(point_id(q, q, m))
-            masks.append(mask_of(pts))
-            index.append((m, b))
-    for b in range(q):
-        pts = [point_id(q, b, y) for y in range(q)]
-        pts.append(point_id(q, q, q))
-        masks.append(mask_of(pts))
-        index.append((q, b))
-    pts = [point_id(q, q, y) for y in range(q)]
-    pts.append(point_id(q, q, q))
-    masks.append(mask_of(pts))
-    index.append((q, q))
+    return q
 
-    order = sorted(range(len(masks)), key=lambda i: masks[i])
+
+def _line_mask(spec: FieldSpec, alpha: tuple[int, int]) -> int:
+    """The points of line alpha as a mask: (m, b) with m < q is the
+    affine line y = mx + b closed off with (w,m), (w, b) the vertical
+    x = b closed off with (w,w), and (w,w) the line at infinity."""
+    q = spec.q
+    m, b = alpha
+    if m < q:
+        add, mul = spec.add, spec.mul
+        mask = 1 << q * q + m
+        for x in range(q):
+            mask |= 1 << x * q + add(mul(m, x), b)
+        return mask
+    corner = 1 << q * q + q
+    if b < q:
+        return ((1 << q) - 1) << b * q | corner
+    return ((1 << q) - 1) << q * q | corner
+
+
+def build_pg(spec: FieldSpec) -> PGPlane:
+    """All q^2+q+1 lines in slope-intercept coordinates (see _line_mask),
+    sorted by mask, with the generators of the collineation group as the
+    family's symmetry."""
+    q = _plane_order(spec)
+    index = [(m, b) for m in range(q + 1) for b in range(q)] + [(q, q)]
+    masks = [_line_mask(spec, alpha) for alpha in index]
+    order = sorted(range(len(masks)), key=masks.__getitem__)
     lines = SetFamily(ground=q * q + q + 1,
                       sets=tuple(masks[i] for i in order),
-                      name=f"PG({q})")
+                      name=f"PG({q})",
+                      symmetry=collineation_generators(spec))
     return PGPlane(spec=spec, lines=lines,
                    line_index=tuple(index[i] for i in order))
+
+
+def collineation_generators(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """Point permutations that generate the collineation group of the
+    plane of order q = p^k, PGammaL(3, q), identities dropped.
+
+    A point is a projective vector: (x,y) is [x, y, 1], (w,m) is
+    [1, m, 0] and (w,w) is [0, 1, 0].  The maps are the transvection
+    [X, Y, Z] -> [X + Z, Y, Z] (the translation x -> x + 1); the
+    coordinate 3-cycle and a coordinate swap, which conjugate it to the
+    transvection at every other pair of coordinates, so that together
+    they give SL(3, p); and diag(g, 1, 1) for g primitive, whose
+    conjugation scales the transvections to every entry of GF(q) and
+    which gives every determinant: PGL(3, q).  For k > 1 the Frobenius
+    map x -> x^p adds the field automorphisms."""
+    q = _plane_order(spec)
+    add, mul, div = spec.add, spec.mul, spec.div
+    g = spec.primitive
+
+    def point(x: int, y: int, z: int) -> int:
+        if z:
+            return div(x, z) * q + div(y, z)
+        if x:
+            return q * q + div(y, x)
+        return q * q + q
+
+    coords = [(x, y, 1) for x in range(q) for y in range(q)]
+    coords += [(1, m, 0) for m in range(q)] + [(0, 1, 0)]
+    maps = [lambda x, y, z: (add(x, z), y, z),
+            lambda x, y, z: (y, z, x),
+            lambda x, y, z: (y, x, z),
+            lambda x, y, z: (mul(g, x), y, z)]
+    if spec.k > 1:
+        p = spec.p
+        maps.append(lambda x, y, z: (spec.pow(x, p), spec.pow(y, p), spec.pow(z, p)))
+    identity = tuple(range(len(coords)))
+    perms = (tuple(point(*f(*c)) for c in coords) for f in maps)
+    return tuple(perm for perm in perms if perm != identity)
 
 
 def emit_pg_map(plane: PGPlane) -> str:
@@ -289,20 +389,19 @@ def _construction_lines(spec: FieldSpec) -> list[tuple[int, int]]:
     return picks
 
 
-def _lines_by_index(plane: PGPlane, picks: list[tuple[int, int]],
+def _lines_by_index(spec: FieldSpec, picks: list[tuple[int, int]],
                     name: str) -> SetFamily:
-    lookup = {alpha: mask for alpha, mask in zip(plane.line_index, plane.lines.sets)}
-    masks = tuple(sorted(lookup[alpha] for alpha in picks))
-    return SetFamily(ground=plane.lines.ground, sets=masks, name=name)
+    q = _plane_order(spec)
+    masks = tuple(sorted(_line_mask(spec, alpha) for alpha in picks))
+    return SetFamily(ground=q * q + q + 1, sets=masks, name=name)
 
 
 def triangular_odd(spec: FieldSpec) -> SetFamily:
     """A triangular family of q+1 lines of the plane, for odd q."""
     if spec.p == 2:
         raise FieldError("construction for odd q; use triangular_char2 for p=2")
-    plane = build_pg(spec)
-    picks = _construction_lines(spec)
-    return _lines_by_index(plane, picks, name=f"triangular-odd(q={spec.q})")
+    return _lines_by_index(spec, _construction_lines(spec),
+                           name=f"triangular-odd(q={spec.q})")
 
 
 def triangular_char2(spec: FieldSpec) -> SetFamily:
@@ -311,14 +410,14 @@ def triangular_char2(spec: FieldSpec) -> SetFamily:
     construction line once because square roots are unique."""
     if spec.p != 2:
         raise FieldError(f"construction needs p=2, got p={spec.p}")
-    plane = build_pg(spec)
     picks = _construction_lines(spec)
     picks.append((1, 1))
-    return _lines_by_index(plane, picks, name=f"triangular-char2(q={spec.q})")
+    return _lines_by_index(spec, picks, name=f"triangular-char2(q={spec.q})")
 
 
 def rotational_family(h: int, s: set[int] | frozenset[int] | tuple[int, ...]) -> SetFamily:
-    """All h cyclic shifts of s inside Z_h, duplicates merged."""
+    """All h cyclic shifts of s inside Z_h, duplicates merged, with the
+    shift e -> e+1 mod h as the family's symmetry."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     base = set(s)
@@ -326,4 +425,5 @@ def rotational_family(h: int, s: set[int] | frozenset[int] | tuple[int, ...]) ->
         raise ValueError(f"need nonempty S within 0..{h - 1}, got {sorted(base)}")
     masks = {mask_of((x + i) % h for x in base) for i in range(h)}
     return SetFamily(ground=h, sets=tuple(sorted(masks)),
-                     name=f"rotations(h={h},S={tuple(sorted(base))})")
+                     name=f"rotations(h={h},S={tuple(sorted(base))})",
+                     symmetry=(tuple(range(1, h)) + (0,),))

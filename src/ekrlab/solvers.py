@@ -89,7 +89,7 @@ state rather than a silent answer.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -132,7 +132,8 @@ class _Budget:
 
     @property
     def used(self) -> int:
-        return max(self.initial - self.left, 0)
+        # the node that overran the budget was never searched
+        return self.initial - max(self.left, 0)
 
 
 @dataclass(frozen=True)
@@ -344,17 +345,21 @@ def _orbit(gens: tuple[Perm, ...], v: int) -> int:
 
 
 def _stabilizer(gens: tuple[Perm, ...], v: int) -> tuple[Perm, ...]:
-    """Generators of v's stabiliser in the group generated by gens.
-
-    Schreier's lemma: with t_u a group element taking v to u (a
-    transversal built while walking the orbit), the elements
-    t_g(u)^-1 g t_u, over every orbit point u and generator g, fix v and
-    generate the stabiliser.  Identities and duplicates are dropped; the
-    group itself is never listed."""
+    """Generators of v's stabiliser in the group generated by gens: its
+    Schreier generators, duplicates dropped; the group itself is never
+    listed."""
     if all(g[v] == v for g in gens):
         return gens
+    return tuple(sorted(set(_schreier_generators(gens, v))))
+
+
+def _schreier_generators(gens: tuple[Perm, ...], v: int) -> Iterator[Perm]:
+    """Schreier's lemma: with t_u a group element taking v to u (a
+    transversal built while walking the orbit), the elements
+    t_g(u)^-1 g t_u, over every orbit point u and generator g, fix v and
+    generate the stabiliser.  Yields those that are not the identity,
+    as the walk finds them."""
     trans = {v: _BYTE_IDENTITY if type(gens[0]) is bytes else tuple(range(len(gens[0])))}
-    stab: set[Perm] = set()
     queue = [v]
     for u in queue:
         t = trans[u]
@@ -365,16 +370,21 @@ def _stabilizer(gens: tuple[Perm, ...], v: int) -> tuple[Perm, ...]:
                 trans[w] = gt
                 queue.append(w)
             elif gt != trans[w]:
-                stab.add(_compose(_inverse(trans[w]), gt))
-    return tuple(sorted(stab))
+                yield _compose(_inverse(trans[w]), gt)
 
 
 def _list_group(gens: tuple[Perm, ...], m: int) -> tuple[Perm, ...]:
     """Every non-identity element of the group gens generate, by a
     breadth-first closure over the generators; () when the group is
-    trivial or its order passes m * m (m the number of points)."""
+    trivial or its order passes m * m (m the number of points).
+
+    The closure decides that by itself for groups of order up to 4m
+    (the dihedral groups of cycles and suns have order 2m at most), and
+    for a larger group _order_exceeds decides it then, before the rest is
+    built."""
     if not gens:
         return ()
+    check = min(4 * m, m * m)
     # compose m-long lists of images, cheaper than 256-byte tables; pad at the end
     ident = (bytes if type(gens[0]) is bytes else tuple)(range(m))
     elements = {ident}
@@ -383,13 +393,32 @@ def _list_group(gens: tuple[Perm, ...], m: int) -> tuple[Perm, ...]:
         for g in gens:
             gh = _compose(g, h)
             if gh not in elements:
-                if len(elements) >= m * m:
+                if len(elements) == check and _order_exceeds(gens, m * m):
                     return ()
                 elements.add(gh)
                 queue.append(gh)
     if type(ident) is tuple:
         return tuple(queue[1:])
     return tuple(h + _BYTE_IDENTITY[m:] for h in queue[1:])
+
+
+def _order_exceeds(gens: tuple[Perm, ...], limit: int) -> bool:
+    """Whether the group gens generate has order above limit, down a
+    chain of point stabilisers: |G| = |orbit(v)| * |G_v|, with G_v
+    generated by its Schreier generators, and so on.  Once a
+    non-trivial stabiliser (of order >= 2) would pass limit, one
+    non-identity Schreier generator settles it; a trivial one makes the
+    product the order."""
+    bound = 1
+    while gens:
+        v = next(x for x, y in enumerate(gens[0]) if x != y)
+        bound *= _orbit(gens, v).bit_count()
+        if bound > limit:
+            return True
+        if 2 * bound > limit:
+            return next(_schreier_generators(gens, v), None) is not None
+        gens = _stabilizer(gens, v)
+    return False
 
 
 class _Capped(Exception):

@@ -8,7 +8,8 @@ from ekrlab.families import SetFamily, best_full_star, emit_family, \
     is_triangular, mask_of, parse_family, stats
 from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_r, enumerate_paths_upto, to_setfamily
-from ekrlab.projective import build_pg, make_field
+from ekrlab.projective import build_pg, make_field, rotational_family, triangular_char2, \
+    triangular_odd
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,14 @@ class TestSymmetry:
         assert plain.member_symmetry == ()
 
     def test_generic_constructions_carry_none(self, fano):
-        assert fano.symmetry == ()
+        assert triangular_odd(make_field(3, 1)).symmetry == ()
+        assert triangular_char2(make_field(2, 2)).symmetry == ()
+        assert full_star(fano, 1).symmetry == ()
         assert full_star(to_setfamily(enumerate_paths_r(make_theta((2, 3, 3)), 3)), 1).symmetry == ()
         assert parse_family("# ground=3 count=1\n0 1\n").symmetry == ()
+
+    def test_planes_and_rotations_carry_their_groups(self, fano):
+        # the collineation group of the Fano plane and the shift of Z_7
+        assert fano.symmetry and fano.member_symmetry
+        fam = rotational_family(7, (0, 1, 3))
+        assert fam.symmetry == ((1, 2, 3, 4, 5, 6, 0),) and fam.member_symmetry

@@ -1,11 +1,14 @@
+import hashlib
+import random
+
 import pytest
 
 from ekrlab.families import is_exactly_s_intersecting, is_s_intersecting, \
     is_triangular, stats
-from ekrlab.projective import FieldError, build_pg, emit_pg_map, field_of_order, \
-    make_field, point_id, rotational_family, sqrt_char2, triangular_char2, \
-    triangular_odd
-from ekrlab.solvers import min_transversal
+from ekrlab.projective import MAX_FIELD, FieldError, build_pg, collineation_generators, \
+    emit_pg_map, field_of_order, make_field, point_id, rotational_family, sqrt_char2, \
+    triangular_char2, triangular_odd
+from ekrlab.solvers import _orbit, min_transversal
 
 FIELDS = {q: spec for q, spec in
           ((2, make_field(2, 1)), (3, make_field(3, 1)), (4, make_field(2, 2)),
@@ -90,6 +93,65 @@ class TestFieldOps:
                     spec.add(spec.pow(a, p), spec.pow(b, p))
 
 
+def prime_powers(top):
+    out = []
+    for q in range(2, top + 1):
+        try:
+            field_of_order(q)
+        except FieldError:
+            continue
+        out.append(q)
+    return out
+
+
+class TestFieldTables:
+    """The table lookups against the coefficient arithmetic that fills
+    the tables."""
+
+    @staticmethod
+    def check(spec, pairs):
+        for a, b in pairs:
+            assert spec.add(a, b) == spec._coeff_add(a, b), (spec.q, a, b)
+            assert spec.mul(a, b) == spec._coeff_mul(a, b), (spec.q, a, b)
+            assert spec._coeff_add(spec.sub(a, b), b) == a, (spec.q, a, b)
+            if b:
+                assert spec._coeff_mul(spec.div(a, b), b) == a, (spec.q, a, b)
+        for a in spec.elements:
+            assert spec._coeff_add(a, spec.neg(a)) == 0
+            if a:
+                assert spec._coeff_mul(a, spec.inv(a)) == 1
+
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_every_pair_up_to_64(self, q):
+        spec = field_of_order(q)
+        self.check(spec, ((a, b) for a in spec.elements for b in spec.elements))
+
+    def test_a_sample_up_to_the_cap(self):
+        rng = random.Random(12)
+        for q in prime_powers(MAX_FIELD):
+            if q > 64:
+                spec = field_of_order(q)
+                self.check(spec, [(rng.randrange(q), rng.randrange(q)) for _ in range(30)])
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 25, 27, 509, 512])
+    def test_primitive_element(self, q):
+        spec = field_of_order(q)
+        g, x, order = spec.primitive, spec.primitive, 1
+        while x != 1:
+            x = spec._coeff_mul(x, g)
+            order += 1
+        assert order == q - 1
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 27])
+    def test_pow_matches_repeated_multiplication(self, q):
+        spec = field_of_order(q)
+        for a in spec.elements:
+            x = 1
+            for e in range(q + 2):
+                assert spec.pow(a, e) == x
+                x = spec._coeff_mul(x, a)
+
+
 class TestSqrtChar2:
     def test_gf4(self):
         spec = FIELDS[4]
@@ -158,6 +220,65 @@ class TestBuildPg:
     def test_order_cap(self):
         with pytest.raises(FieldError):
             build_pg(make_field(5, 2))
+
+
+# sha256 of repr((lines.sets, line_index, construction.sets)) per order,
+# the construction being triangular_char2 for even q and triangular_odd
+# otherwise; pinned from the coefficient-arithmetic planes
+PLANE_DIGESTS = {
+    2: "7f6d9dd278daf563bd963d85f6d1930f4a128f64db78c32d29d16f5022ce4a2b",
+    3: "12905564c607aa94237fa97bb85cfd32a335651942ee30a2406674bc91447460",
+    4: "9e6e3dfb74174d6853652ad71053f9b69491d7072f88aece7c7ba0ad0020efa1",
+    5: "7ddd2f9b6d09331c5bb74020f606dfe0dd9185e40116d5fd410988b031555a96",
+    7: "b2cde791cb90688c8cbaf4311d9bf4ba771ae4656c593737d886b4620d8e932c",
+    8: "5eae8b893a2a0542bcd9a6a91b828dd4f702c1636de1d0d18da211d71af3139f",
+    9: "6035a6148b6629c8d537fe8dc075be7b25fd84b4f29a9fed9fb8023c220feecb",
+    11: "3e0bc7d5149038f60a82a368f78e1cc23490df47fc6c01aeecd28ef06e92a487",
+    13: "95a012691cca34056a595fbbc32a7123cc5b690caeaf820bb77598662979be5d",
+    16: "0f56fecd862c8b9a3b65c6341969e619268dcdbcee5560fc624cde72fed0e504",
+    17: "9c7681114f96d9f66d115cbfbb0d9071f16c58c56c9d9d422f474c248e6a7622",
+    19: "1c7c9676d0da9e4f51ff11a75c9cd42fe796ddca2e552ca36daf36d730dabd20",
+    23: "879482b14cde013e222581860511879bcaa46f1dfbb0e94c5b20af91906f8dd0",
+}
+
+
+class TestPinnedPlanes:
+    @pytest.mark.parametrize("q", sorted(PLANE_DIGESTS))
+    def test_lines_index_and_construction(self, q):
+        spec = field_of_order(q)
+        plane = build_pg(spec)
+        construction = triangular_char2(spec) if spec.p == 2 else triangular_odd(spec)
+        text = repr((plane.lines.sets, plane.line_index, construction.sets))
+        assert hashlib.sha256(text.encode()).hexdigest() == PLANE_DIGESTS[q]
+
+
+class TestCollineations:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_transitive_on_points_and_lines(self, q):
+        lines = build_pg(field_of_order(q)).lines
+        n = q * q + q + 1
+        assert _orbit(lines.symmetry, 0) == (1 << n) - 1
+        assert _orbit(lines.member_symmetry, 0) == (1 << n) - 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 23])
+    def test_generator_count(self, q):
+        # the transvection, 3-cycle, swap and diag(g,1,1) (the identity
+        # for q = 2), and Frobenius for prime powers
+        spec = field_of_order(q)
+        gens = collineation_generators(spec)
+        assert len(gens) == (3 if q == 2 else 4) + (spec.k > 1)
+        assert all(sorted(g) == list(range(q * q + q + 1)) for g in gens)
+
+    def test_frobenius_fixes_the_prime_subplane(self):
+        spec = field_of_order(4)
+        [frob] = [g for g in collineation_generators(spec)
+                  if all(g[point_id(4, x, y)] == point_id(4, x, y)
+                         for x in range(2) for y in range(2))]
+        assert frob[point_id(4, 2, 3)] == point_id(4, 3, 2)
+
+    def test_constructions_exceed_the_plane_cap(self):
+        with pytest.raises(FieldError):
+            triangular_odd(make_field(5, 2))
 
 
 class TestTransversalOfPlanes:

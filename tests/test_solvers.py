@@ -8,7 +8,7 @@ from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, st
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
-from ekrlab.projective import build_pg, make_field, rotational_family
+from ekrlab.projective import build_pg, field_of_order, make_field, rotational_family
 from ekrlab.solvers import Limits, enumerate_maximum_s_intersecting, \
     helly_triple_check, max_intersecting_sperner, max_nonstar_s_intersecting, \
     max_s_intersecting, max_triangular_intersecting, min_transversal
@@ -16,6 +16,11 @@ from ekrlab.solvers import Limits, enumerate_maximum_s_intersecting, \
 
 def path_family(g, r):
     return to_setfamily(enumerate_paths_r(g, r))
+
+
+# the rotational families of the set-systems benchmark workload
+ROTATIONS = ((7, (0, 1, 3)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14)),
+             (31, (1, 5, 11, 24, 25, 27)))
 
 
 class TestMaxIntersecting:
@@ -74,6 +79,13 @@ class TestMaxIntersecting:
         assert res.limits_hit and not res.value_exact
         true_value = max_s_intersecting(fam, 2).value
         assert res.value <= true_value
+
+    def test_an_overrun_reports_the_budget(self):
+        # the node that overran the budget was never searched
+        fam = path_family(make_sun(10, 4), 5)
+        for budget in (0, 5):
+            res = max_s_intersecting(fam, 1, Limits(node_budget=budget))
+            assert res.limits_hit and res.nodes == budget
 
     def test_dense_all_paths_families(self):
         # near-complete compatibility graphs with huge cliques; the
@@ -344,10 +356,30 @@ class TestNodeCounts:
         assert res.nodes <= nodes
 
     def test_triangular_of_pg7(self):
-        # 1,722,693 nodes with a popcount bound and no candidate filter
+        # 547,799 nodes without the collineation group, 1,722,693 also
+        # with a popcount bound and no candidate filter
         res = max_triangular_intersecting(build_pg(make_field(7, 1)).lines)
         assert res.value == 8 and res.witness == (0, 1, 7, 8, 17, 19, 45, 47)
-        assert res.value_exact and not res.limits_hit and res.nodes <= 547_799
+        assert res.value_exact and not res.limits_hit and res.nodes <= 82
+
+    def test_triangular_of_pg8(self):
+        # 2,482,338 nodes without the collineation group
+        res = max_triangular_intersecting(build_pg(make_field(2, 3)).lines)
+        assert res.value == 10 and res.value_exact and not res.limits_hit
+        assert res.nodes <= 93
+
+    def test_triangular_of_pg9(self):
+        # the q+1 construction is optimal; 20,046,228 nodes without the
+        # collineation group
+        res = max_triangular_intersecting(build_pg(make_field(3, 2)).lines)
+        assert res.value == 10 and res.value_exact and not res.limits_hit
+        assert res.nodes <= 360
+
+    def test_triangular_of_rotations_31(self):
+        # 14,174 nodes without the shift
+        res = max_triangular_intersecting(rotational_family(31, (1, 5, 11, 24, 25, 27)))
+        assert res.value == 6 and res.value_exact and not res.limits_hit
+        assert res.nodes <= 738
 
     def test_transversal_of_pg7(self):
         # the packing bound is 1 on pairwise-intersecting lines; the
@@ -400,7 +432,7 @@ class TestNonStar:
         # nodes; TestOrbitalBranching sweeps budgets with the group on
         fam = replace(path_family(make_sun(10, 2), 5), symmetry=())
         res = max_nonstar_s_intersecting(fam, 1, Limits(node_budget=1000))
-        assert res.limits_hit and not res.value_exact and res.nodes <= 1001
+        assert res.limits_hit and not res.value_exact and res.nodes <= 1000
         sub = SetFamily(ground=fam.ground,
                         sets=tuple(sorted(fam.sets[i] for i in res.witness)))
         assert res.value == len(res.witness) > 0
@@ -480,7 +512,7 @@ class TestMinTransversal:
         # a budget the minimum search uses up: its value is exact, but the
         # witness is the minimum search's, not the certified lex-least one
         res = min_transversal(fam, Limits(node_budget=6))
-        assert res.limits_hit and res.value_exact
+        assert res.limits_hit and res.value_exact and res.nodes == 6
         assert res.value == 4 and res.witness != full.witness
         assert len(res.witness) == 4 and all(mask & mask_of(res.witness) for mask in fam.sets)
 
@@ -517,10 +549,11 @@ class TestMaxTriangular:
         assert is_triangular(sub) and stats(sub).delta <= 2
 
     def test_budget_overrun_keeps_a_triangular_clique(self):
+        # without the group: the search with it proves this value in 82 nodes
         from ekrlab.families import is_triangular
-        fam = build_pg(make_field(7, 1)).lines
+        fam = replace(build_pg(make_field(7, 1)).lines, symmetry=())
         res = max_triangular_intersecting(fam, 1, Limits(node_budget=100))
-        assert res.limits_hit and not res.value_exact and res.nodes <= 101
+        assert res.limits_hit and not res.value_exact and res.nodes <= 100
         sub = SetFamily(ground=fam.ground,
                         sets=tuple(sorted(fam.sets[i] for i in res.witness)))
         assert res.value == len(res.witness) > 0
@@ -627,6 +660,52 @@ class TestOrbitalBranching:
             assert helpers.solver_outcomes(fam) == \
                 helpers.solver_outcomes(replace(fam, symmetry=())), r
 
+    def test_plane_groups_are_not_listed(self):
+        # PGammaL(3, q) is 2-transitive on the m = q^2+q+1 lines, so its
+        # order passes m^2; the listing learns that from _order_exceeds
+        # once it holds 4m elements
+        for q in (2, 3, 4, 16, 17):
+            lines = build_pg(field_of_order(q)).lines
+            m = len(lines)
+            graph = solvers._Quotient(solvers.CompatibilityGraph.build(lines, 1).adj,
+                                      [[v] for v in range(m)], [m - 1] * m)
+            search = solvers._CliqueSearch(graph, solvers._Budget(0),
+                                           group=solvers._quotient_group(graph, lines))
+            assert search.gens and search.elements == ()
+
+    @pytest.mark.parametrize("fam", [
+        lambda: path_family(make_cycle(12), 6), lambda: path_family(make_theta((3, 3, 3, 3)), 2),
+        lambda: path_family(make_theta((2,) * 5), 2), lambda: build_pg(make_field(2, 1)).lines,
+        lambda: build_pg(make_field(3, 1)).lines, lambda: rotational_family(13, (0, 1, 3, 9)),
+    ], ids=["cycle-12", "theta-3333", "theta-22222", "PG(2)", "PG(3)", "rotations(13)"])
+    def test_order_bound_is_exact(self, fam):
+        # _order_exceeds(gens, limit) holds exactly when the order passes
+        # limit, so the listing decision is that of a full closure
+        gens = fam().member_symmetry
+        elements = {tuple(range(len(gens[0])))}
+        queue = list(elements)
+        for h in queue:
+            for g in gens:
+                gh = solvers._compose(g, h)
+                if gh not in elements:
+                    elements.add(gh)
+                    queue.append(gh)
+        order = len(elements)
+        for limit in (1, order // 2, order - 1, order, order + 1, 2 * order):
+            assert solvers._order_exceeds(gens, limit) == (order > limit), limit
+
+    @pytest.mark.parametrize("fam", [
+        *(lambda q=q: build_pg(field_of_order(q)).lines for q in (2, 3, 4, 5, 7)),
+        *(lambda h=h, base=base: rotational_family(h, base) for h, base in ROTATIONS),
+    ], ids=[*(f"PG({q})" for q in (2, 3, 4, 5, 7)), *(f"rotations({h})" for h, _ in ROTATIONS)])
+    def test_triangular_does_not_depend_on_the_group(self, fam):
+        fam = fam()
+        assert fam.member_symmetry
+        with_group = max_triangular_intersecting(fam)
+        without = max_triangular_intersecting(replace(fam, symmetry=()))
+        assert with_group == replace(without, nodes=with_group.nodes)
+        assert with_group.nodes <= without.nodes
+
     def test_check_hm_does_not_depend_on_the_group(self, monkeypatch):
         grid = [(n, r) for n in range(6, 21) for r in range(1, n + 1)]
         with_group = [verdicts.check_hm(make_cycle(n), r).to_dict() for n, r in grid]
@@ -652,7 +731,7 @@ class TestOrbitalBranching:
             full = run(Limits())
             for budget in range(0, full.nodes + 2, 13):
                 res = run(Limits(node_budget=budget))
-                assert res.nodes <= budget + 1, (name, budget)
+                assert res.nodes <= budget, (name, budget)
                 if not res.limits_hit:
                     assert res == replace(full, nodes=res.nodes), (name, budget)
                     continue
