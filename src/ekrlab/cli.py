@@ -89,6 +89,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else [list(fam.member(i)) for i in res.witness],
         "nodes": res.nodes,
         "limits_hit": res.limits_hit,
+        # false when a budget cut the search before the value was proven
+        "value_exact": res.value_exact,
         "infeasible": res.infeasible,
     }
     if res.uniform_optima is not None:

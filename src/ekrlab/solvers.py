@@ -75,11 +75,17 @@ group.  The certification pass stays symmetry-free, so witnesses are
 unchanged.  A node is one branched vertex: the vertices skipped as orbit
 images or by the dominance check are not counted.
 
-Transversals use hitting-set branch and bound on a minimum uncovered
-member with two lower bounds: a greedy packing of pairwise-disjoint
-uncovered members, and a degree-sum bound (the fewest elements whose
-largest hit counts add up to the uncovered count), which carries the
-search on intersecting families, where the packing bound is 1.
+Transversals use one hitting-set decision routine ("can k elements of
+an allowed set hit every uncovered member?") for both the minimum and
+the certification of the lex-least witness.  It branches on the
+uncovered member with the fewest allowed elements and drops each
+element from the allowed set of the later siblings once its own branch
+has failed, so the branches partition the hitting sets (exclusion
+branching, as in exact cover).  Two lower bounds prune it: a greedy
+packing of pairwise-disjoint uncovered members, and a degree-sum bound
+(the fewest elements whose largest hit counts add up to the uncovered
+count), which carries the search on intersecting families, where the
+packing bound is 1.
 
 Everything is single-threaded in a fixed order, so values and witnesses
 are reproducible; node budgets make partial results an explicit error
@@ -328,7 +334,10 @@ def _compose(a: Perm, b: Perm) -> Perm:
 def _inverse(perm: Perm) -> Perm:
     if type(perm) is bytes:
         return bytes.maketrans(perm, _BYTE_IDENTITY)
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    inverse = [0] * len(perm)
+    for x, image in enumerate(perm):
+        inverse[image] = x
+    return tuple(inverse)
 
 
 def _orbit(gens: tuple[Perm, ...], v: int) -> int:
@@ -933,8 +942,18 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
 
 
 def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveResult:
-    """Exact minimum hitting set, branching on a smallest uncovered member;
-    the witness is the lex-least minimum hitting set."""
+    """Exact minimum hitting set; the witness is the lex-least minimum
+    hitting set.
+
+    Both come from one branching routine (see _HittingSearch): the
+    minimum asks it for a hitting set one smaller than the best known,
+    from a greedy one down, until it finds none, and the certification
+    asks it, element by element, whether the elements after the one just
+    taken still complete a hitting set of the minimum size (unless the
+    last set found already does).  An overrun
+    in the minimum search leaves the best set found so far with an
+    inexact value; one in the certification leaves the exact value with
+    the minimum search's witness."""
     sets = fam.sets
     if any(s == 0 for s in sets):
         return SolveResult(value=0, witness=(), infeasible=True)
@@ -948,7 +967,7 @@ def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveRes
         return SolveResult(value=search.best, witness=search.best_set,
                            nodes=budget.used, limits_hit=True, value_exact=False)
     try:
-        witness = search.lex_least(search.best)
+        witness = search.lex_least()
     except _BudgetExceeded:
         return SolveResult(value=search.best, witness=search.best_set,
                            nodes=budget.used, limits_hit=True)
@@ -964,14 +983,23 @@ def _degrees_fall_short(holders: list[int], unhit: int, k: int) -> bool:
 
 
 class _HittingSearch:
-    """Hitting-set branch and bound over member-index bitmasks.
+    """Hitting-set search over member-index bitmasks, with one branching
+    routine for the minimum and its certification.
 
-    Members are indexed smallest first (by size, then mask), so the
-    pivot of the search, a smallest uncovered member, is the lowest
-    uncovered bit.  A node with uncovered members is pruned by two lower
-    bounds on the elements still needed: a greedy packing of pairwise
-    disjoint uncovered members, each of which needs its own element, and,
-    when the packing does not prune, the degree-sum bound."""
+    The routine asks whether k elements of an allowed mask can hit every
+    uncovered member.  It branches on the uncovered member with the
+    fewest allowed elements (a member with none prunes the node), one
+    child per such element in ascending order.  When the child that took
+    e fails, e leaves the allowed mask of the later siblings: a hitting
+    set that holds e was searched under that child, so the siblings
+    partition the hitting sets instead of meeting each once per pivot
+    element it holds (the exclusion branching of exact cover, with the
+    fewest-options pivot of Knuth's Algorithm X).  Members are indexed
+    smallest first (by size, then mask), so ties go to a smallest member.
+    A node with uncovered members is also pruned by two lower bounds on
+    the elements still needed: a greedy packing of pairwise-disjoint
+    uncovered members, each of which needs its own element, and, when
+    the packing does not prune, the degree-sum bound over all elements."""
 
     def __init__(self, sets: tuple[int, ...], budget: _Budget) -> None:
         self.sets = sorted(sets, key=lambda m: (m.bit_count(), m))
@@ -1000,9 +1028,10 @@ class _HittingSearch:
         return False
 
     def minimum(self) -> None:
-        """Sets best and best_set; a greedy hitting set (a highest-degree
-        element at a time, lowest on ties) is the warm upper bound, and
-        the partial best survives a budget overrun."""
+        """Sets best and best_set.  A greedy hitting set (a highest-degree
+        element at a time, lowest on ties) is the first upper bound; then
+        the routine is asked for a hitting set of size best - 1 until it
+        finds none.  The last one found survives a budget overrun."""
         holders = self.holders
         unhit = self.full
         greedy = []
@@ -1011,58 +1040,68 @@ class _HittingSearch:
             greedy.append(e)
             unhit &= ~holders[e]
         self.best, self.best_set = len(greedy), tuple(sorted(greedy))
-        self._branch([], self.full)
+        while (found := self._hit(self.full, self.best - 1, -1)) is not None:
+            self.best, self.best_set = len(found), tuple(sorted(found))
 
-    def _branch(self, chosen: list[int], unhit: int) -> None:
-        if not unhit:
-            if len(chosen) < self.best:
-                self.best = len(chosen)
-                self.best_set = tuple(sorted(chosen))
-            return
-        room = self.best - len(chosen) - 1
-        if self._packing_exceeds(unhit, room) or \
-                _degrees_fall_short(self.holders, unhit, room):
-            return
-        for e in elems_of(self.sets[(unhit & -unhit).bit_length() - 1]):
-            self.budget.spend()
-            chosen.append(e)
-            self._branch(chosen, unhit & ~self.holders[e])
-            chosen.pop()
-
-    def lex_least(self, size: int) -> tuple[int, ...]:
-        """Certification pass: the lexicographically least hitting set of
-        the given size.  Each element in turn is taken when the members it
-        leaves uncovered can still be hit by the elements after it;
-        otherwise it is dropped for the rest of the pass.  The elements
+    def lex_least(self) -> tuple[int, ...]:
+        """Certification pass after minimum(): the lexicographically least
+        hitting set of size best.  Each element in turn is taken when the
+        members it leaves uncovered can still be hit by the elements after
+        it; otherwise it is dropped for the rest of the pass.  The elements
         before it are spent either way: a dropped one is out, and a taken
-        one hits no member still uncovered."""
+        one hits no member still uncovered.  The pass keeps a completion
+        of the elements taken so far to a hitting set of size best (at the
+        start best_set, then the last set the routine returned), so when it
+        reaches the completion's least element it takes it without asking
+        the routine."""
+        size = self.best
         chosen: list[int] = []
         unhit = self.full
+        completion = sorted(self.best_set, reverse=True)
         for e in range(len(self.holders)):
             if len(chosen) == size:
                 break
             rest = unhit & ~self.holders[e]
-            if self._can_hit(rest, size - len(chosen) - 1, e + 1):
-                chosen.append(e)
-                unhit = rest
+            if completion and completion[-1] == e:
+                completion.pop()
+            elif (found := self._hit(rest, size - len(chosen) - 1, -1 << (e + 1))) is not None:
+                completion = sorted(found, reverse=True)
+            else:
+                continue
+            chosen.append(e)
+            unhit = rest
         if len(chosen) != size or unhit:
             raise AssertionError("certification pass lost the optimum")
         return tuple(chosen)
 
-    def _can_hit(self, unhit: int, k: int, first: int) -> bool:
-        """Can k elements from first on hit every member of unhit?"""
+    def _hit(self, unhit: int, k: int, allowed: int) -> list[int] | None:
+        """At most k elements of the allowed mask that hit every member of
+        unhit, or None when there are none."""
         if not unhit:
-            return True
-        if self._packing_exceeds(unhit, k) or \
-                _degrees_fall_short(self.holders[first:], unhit, k):
-            return False
-        sets, allowed = self.sets, -1 << first
-        pivot = min(elems_of(unhit), key=lambda i: (sets[i] & allowed).bit_count())
-        for e in elems_of(sets[pivot] & allowed):
+            return []
+        sets, holders = self.sets, self.holders
+        if self._packing_exceeds(unhit, k) or _degrees_fall_short(holders, unhit, k):
+            return None
+        fewest, options = len(holders) + 1, 0
+        rest = unhit
+        while rest:
+            low = rest & -rest
+            mine = sets[low.bit_length() - 1] & allowed
+            if (count := mine.bit_count()) < fewest:
+                if not count:
+                    return None
+                fewest, options = count, mine
+            rest ^= low
+        while options:
+            low = options & -options
+            e = low.bit_length() - 1
             self.budget.spend()
-            if self._can_hit(unhit & ~self.holders[e], k - 1, first):
-                return True
-        return False
+            if (found := self._hit(unhit & ~holders[e], k - 1, allowed)) is not None:
+                found.append(e)
+                return found
+            allowed ^= low
+            options ^= low
+        return None
 
 
 def max_triangular_intersecting(fam: SetFamily, s: int = 1,

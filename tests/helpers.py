@@ -177,6 +177,16 @@ def random_family(seed: int) -> SetFamily:
     return SetFamily(ground=ground, sets=tuple(sorted(sets)), name=f"random({seed})")
 
 
+def uniform_family(seed: int) -> SetFamily:
+    """40 distinct random 4-sets over 24 points, the shape of the
+    benchmark's transversal families."""
+    rng = random.Random(seed)
+    sets: set[int] = set()
+    while len(sets) < 40:
+        sets.add(mask_of(rng.sample(range(24), 4)))
+    return SetFamily(ground=24, sets=tuple(sorted(sets)), name=f"uniform({seed})")
+
+
 def twin_family(seed: int) -> SetFamily:
     """Random cores over a small ground set, each taken once, repeated,
     or extended by private pendant elements, one per copy (like path

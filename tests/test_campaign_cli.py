@@ -219,6 +219,24 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["value"] == 1 and payload["witness"] == [9]
 
+    def test_solve_says_whether_the_value_is_exact(self, tmp_path):
+        # 12 triples over 10 points, tau = 4: with no nodes the value is
+        # the greedy bound; 6 nodes prove it, but do not certify the witness
+        ffile = tmp_path / "fam.txt"
+        ffile.write_text("# ground=10 count=12\n3 4 5\n4 5 6\n1 2 7\n2 3 7\n1 5 7\n"
+                         "0 6 7\n0 2 8\n0 4 8\n4 5 8\n4 5 9\n1 6 9\n4 8 9\n")
+        out = tmp_path / "res.json"
+        payloads = {}
+        for budget in ("0", "6", "1000"):
+            code = main(["solve", "--family", str(ffile), "--op", "transversal",
+                         "--limit-nodes", budget, "--out", str(out)])
+            payloads[budget] = json.loads(out.read_text())
+            assert code == (3 if payloads[budget]["limits_hit"] else 0)
+            assert payloads[budget]["value"] == 4
+        assert [(p["limits_hit"], p["value_exact"]) for p in payloads.values()] == \
+            [(True, False), (True, True), (False, True)]
+        assert payloads["1000"]["witness"] == [0, 1, 2, 4]
+
     def test_check_ekr_verdict(self, tmp_path):
         out = tmp_path / "v.json"
         assert main(["check-ekr", "--kind", "cycle", "--n", "8", "--mode", "uniform",

@@ -1,4 +1,5 @@
-"""Property-based differential tests of the maximum clique searches.
+"""Property-based differential tests of the maximum clique searches and
+the minimum transversal.
 
 Random small families (ground <= 10, at most 12 members, duplicates
 allowed) are checked against the all-subsets scans in helpers, for the
@@ -14,9 +15,10 @@ keeps every run on the same examples.
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from ekrlab.families import SetFamily
-from ekrlab.solvers import enumerate_maximum_s_intersecting, max_nonstar_s_intersecting, \
-    max_s_intersecting, max_triangular_intersecting
+from ekrlab.families import SetFamily, mask_of
+from ekrlab.solvers import Limits, enumerate_maximum_s_intersecting, \
+    max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
+    min_transversal
 
 MAX_GROUND = 10
 MAX_MEMBERS = 12
@@ -105,3 +107,27 @@ def test_enumerate_nonstar_optima(fam, s):
         assert res.all_optima == tuple(sorted(optima)) and not res.infeasible
     else:
         assert res.infeasible and res.all_optima is None
+
+
+@SETTINGS
+@given(families(), st.integers(0, 12))
+def test_min_transversal(fam, budget):
+    res = min_transversal(fam)
+    cut = min_transversal(fam, Limits(node_budget=budget))
+    if 0 in fam.sets:
+        # an empty member cannot be hit
+        assert res.infeasible and (res.value, res.witness) == (0, ())
+        assert cut == res
+        return
+    expected = helpers.naive_lex_least_transversal(fam)
+    assert (res.value, res.witness) == (len(expected), expected)
+    assert res.value_exact and not res.limits_hit and not res.infeasible
+    # under a budget: a hitting set within the budget, never below tau,
+    # and exactly tau whenever the value is claimed exact
+    assert cut.nodes <= budget
+    assert cut.value == len(cut.witness) >= res.value
+    assert all(m & mask_of(cut.witness) for m in fam.sets)
+    if cut.value_exact:
+        assert cut.value == res.value
+    if not cut.limits_hit:
+        assert cut == res

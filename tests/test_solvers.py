@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -397,6 +398,18 @@ class TestNodeCounts:
         assert len(res.witness) == res.value and all(m & mask_of(res.witness)
                                                      for m in fam.sets)
 
+    def test_transversals_of_uniform_families(self):
+        # 20 families of the benchmark's shape, 40 distinct 4-sets over 24
+        # points; 14,029 nodes before the search excluded tried siblings
+        total = 0
+        for seed in range(20):
+            fam = helpers.uniform_family(seed)
+            res = min_transversal(fam)
+            assert res.value_exact and not res.limits_hit
+            assert all(m & mask_of(res.witness) for m in fam.sets)
+            total += res.nodes
+        assert total <= 5339
+
 
 class TestNonStar:
     def test_cycle_12_5(self):
@@ -491,8 +504,8 @@ class TestMinTransversal:
                 assert res.value_exact and not res.limits_hit
         assert checked >= 100
 
-    # 12 triples over 10 points: tau = 4, found in 6 nodes of the
-    # minimum search and certified lex-least in 7 more
+    # 12 triples over 10 points: tau = 4 (the greedy bound), proven in 5
+    # nodes of the minimum search and certified lex-least in 2 more
     BUDGET_FAMILY = SetFamily.from_vertex_sets(10, [
         {3, 4, 5}, {4, 5, 6}, {1, 2, 7}, {2, 3, 7}, {1, 5, 7}, {0, 6, 7},
         {0, 2, 8}, {0, 4, 8}, {4, 5, 8}, {4, 5, 9}, {1, 6, 9}, {4, 8, 9}])
@@ -508,11 +521,11 @@ class TestMinTransversal:
     def test_budget_overrun_in_the_certification(self):
         fam = self.BUDGET_FAMILY
         full = min_transversal(fam)
-        assert (full.value, full.witness, full.nodes) == (4, (0, 1, 2, 4), 13)
+        assert (full.value, full.witness, full.nodes) == (4, (0, 1, 2, 4), 7)
         # a budget the minimum search uses up: its value is exact, but the
         # witness is the minimum search's, not the certified lex-least one
-        res = min_transversal(fam, Limits(node_budget=6))
-        assert res.limits_hit and res.value_exact and res.nodes == 6
+        res = min_transversal(fam, Limits(node_budget=5))
+        assert res.limits_hit and res.value_exact and res.nodes == 5
         assert res.value == 4 and res.witness != full.witness
         assert len(res.witness) == 4 and all(mask & mask_of(res.witness) for mask in fam.sets)
 
@@ -693,6 +706,15 @@ class TestOrbitalBranching:
         order = len(elements)
         for limit in (1, order // 2, order - 1, order, order + 1, 2 * order):
             assert solvers._order_exceeds(gens, limit) == (order > limit), limit
+
+    def test_inverse_of_a_tuple_permutation(self):
+        # above 256 points a permutation is a tuple, not a byte table
+        perm = list(range(300))
+        random.Random(7).shuffle(perm)
+        perm = tuple(perm)
+        identity = tuple(range(300))
+        assert solvers._compose(perm, solvers._inverse(perm)) == identity
+        assert solvers._compose(solvers._inverse(perm), perm) == identity
 
     @pytest.mark.parametrize("fam", [
         *(lambda q=q: build_pg(field_of_order(q)).lines for q in (2, 3, 4, 5, 7)),
