@@ -28,6 +28,14 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def duplicate_note(masks: list[int]) -> str | None:
+    """The note of a family of path vertex sets (sorted masks): how many
+    members repeat the vertex set of the one before, or None."""
+    dup = sum(a == b for a, b in zip(masks, masks[1:]))
+    return (f"{dup} member(s) duplicate another member's vertex set; "
+            "distinct path subgraphs kept as distinct members") if dup else None
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Sorted list of bit-vector sets over a fixed ground size.
@@ -101,6 +109,11 @@ class SetFamily:
         """Each member's elements, ascending; computed once per family."""
         return tuple(map(elems_of, self.sets))
 
+    @cached_property
+    def _stars(self) -> dict[int, tuple[int, int]]:
+        """best_full_star's answers by s, so a family is scanned once per s."""
+        return {}
+
 
 @dataclass(frozen=True)
 class FamilyStats:
@@ -169,16 +182,16 @@ def best_full_star(fam: SetFamily, s: int) -> tuple[int, int]:
     """(size, center mask) of the largest full s-star, lex-least center.
 
     Any candidate center with a nonempty star is an s-subset of some
-    member, so only those are scanned.
+    member, so only those are scanned, once per family and s.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    counts = Counter(chain.from_iterable(combinations(elems, s) for elems in fam.elems))
-    if not counts:
-        return 0, 0
-    size = max(counts.values())
-    center = min(sub for sub, c in counts.items() if c == size)
-    return size, mask_of(center)
+    if s not in fam._stars:
+        counts = Counter(chain.from_iterable(combinations(elems, s) for elems in fam.elems))
+        size = max(counts.values(), default=0)
+        center = min((sub for sub, c in counts.items() if c == size), default=())
+        fam._stars[s] = size, mask_of(center)
+    return fam._stars[s]
 
 
 def is_triangular(fam: SetFamily) -> bool:

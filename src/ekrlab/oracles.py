@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .families import SetFamily, mask_of
+from .families import SetFamily, duplicate_note, mask_of
 from .graphs import Graph, GraphError, sun_vertex
 
 
@@ -236,13 +236,8 @@ def build_sun_hm_family(n: int, t: int) -> SetFamily:
             for kk in range(0, t + 1):
                 masks.append(_sun_path_mask(n, t, y, length, j, kk))
     masks.sort()
-    dup = sum(1 for i in range(1, len(masks)) if masks[i] == masks[i - 1])
-    note = None
-    if dup:
-        note = (f"{dup} member(s) duplicate another member's vertex set; "
-                "distinct path subgraphs kept as distinct members")
     return SetFamily(ground=n * (t + 1), sets=tuple(masks),
-                     name=f"sun-hm(n={n},t={t})", note=note)
+                     name=f"sun-hm(n={n},t={t})", note=duplicate_note(masks))
 
 
 def subdivided_complete_graph(base: int, strand: int) -> Graph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import SetFamily
+from .families import SetFamily, duplicate_note
 from .graphs import Graph, GraphError, automorphism_generators
 
 MAX_GROUND = 128
@@ -66,27 +66,22 @@ def _check_ground(g: Graph) -> None:
         raise GraphError(f"ground set capped at {MAX_GROUND} vertices, got {g.n}")
 
 
-def enumerate_paths_r(g: Graph, r: int) -> PathFamily:
-    """All simple paths on exactly r vertices, one per subgraph.
+def _walk(g: Graph, lo: int, hi: int) -> tuple[PathSubgraph, ...]:
+    """Every simple path on lo..hi vertices, one per subgraph, sorted by
+    sequence.
 
-    Depth-first extension from every start vertex; a sequence is emitted
-    only in canonical orientation, so each subgraph appears exactly once.
+    One depth-first search from every start vertex, cut at hi vertices.
+    A path is kept only as the walk that starts at its smaller end (a
+    single vertex as it is): that sequence is already its canonical
+    form, and the mask of used vertices is its vertex set.
     """
-    _check_ground(g)
-    if not 1 <= r <= g.n:
-        raise GraphError(f"need 1 <= r <= {g.n}, got r={r}")
-    found: list[PathSubgraph] = []
-    if r == 1:
-        found = [PathSubgraph.from_seq((v,)) for v in range(g.n)]
-        found.sort(key=lambda p: p.seq)
-        return PathFamily(host=g, paths=tuple(found), r=r)
-
     neighbors = g.neighbors
+    found: list[PathSubgraph] = []
 
     def extend(seq: list[int], used: int) -> None:
-        if len(seq) == r:
-            if seq[0] < seq[-1]:
-                found.append(PathSubgraph.from_seq(tuple(seq)))
+        if len(seq) >= lo and (len(seq) == 1 or seq[0] < seq[-1]):
+            found.append(PathSubgraph(seq=tuple(seq), mask=used))
+        if len(seq) == hi:
             return
         for w in neighbors[seq[-1]]:
             if not (used >> w) & 1:
@@ -97,23 +92,30 @@ def enumerate_paths_r(g: Graph, r: int) -> PathFamily:
     for start in range(g.n):
         extend([start], 1 << start)
     found.sort(key=lambda p: p.seq)
-    return PathFamily(host=g, paths=tuple(found), r=r)
+    return tuple(found)
+
+
+def enumerate_paths_r(g: Graph, r: int) -> PathFamily:
+    """All simple paths on exactly r vertices, one per subgraph: the
+    walk cut at r vertices."""
+    _check_ground(g)
+    if not 1 <= r <= g.n:
+        raise GraphError(f"need 1 <= r <= {g.n}, got r={r}")
+    return PathFamily(host=g, paths=_walk(g, r, r), r=r)
 
 
 def enumerate_paths_upto(g: Graph, k: int) -> PathFamily:
-    """All simple paths on 1..k vertices (k may exceed |V|)."""
+    """All simple paths on 1..k vertices (k may exceed |V|), from one
+    walk over every length."""
     _check_ground(g)
     if k < 1:
         raise GraphError(f"need k >= 1, got {k}")
-    paths: list[PathSubgraph] = []
-    for r in range(1, min(k, g.n) + 1):
-        paths.extend(enumerate_paths_r(g, r).paths)
-    paths.sort(key=lambda p: p.seq)
-    return PathFamily(host=g, paths=tuple(paths), upto=k)
+    return PathFamily(host=g, paths=_walk(g, 1, min(k, g.n)), upto=k)
 
 
 def enumerate_paths_all(g: Graph) -> PathFamily:
-    """Every simple path of the graph, any number of vertices."""
+    """Every simple path of the graph, any number of vertices; a
+    GraphError on a graph with no vertices."""
     fam = enumerate_paths_upto(g, g.n)
     return PathFamily(host=g, paths=fam.paths)
 
@@ -127,13 +129,8 @@ def to_setfamily(pf: PathFamily) -> SetFamily:
     paths, so they become the family's symmetry.
     """
     masks = sorted(p.mask for p in pf.paths)
-    dup = sum(1 for i in range(1, len(masks)) if masks[i] == masks[i - 1])
-    note = None
-    if dup:
-        note = (f"{dup} member(s) duplicate another member's vertex set; "
-                "distinct path subgraphs kept as distinct members")
-    return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name, note=note,
-                     symmetry=automorphism_generators(pf.host))
+    return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name,
+                     note=duplicate_note(masks), symmetry=automorphism_generators(pf.host))
 
 
 def image_on_cycle(p: PathSubgraph, g: Graph) -> PathSubgraph | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .families import SetFamily, mask_of
 
@@ -64,26 +65,12 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def _irreducible(candidate: tuple[int, ...], p: int) -> bool:
-    """Exhaustive factor scan: no monic divisor of degree 1..deg/2."""
+    """Exhaustive factor scan: no monic divisor of degree 1..deg/2.  The
+    divisors of each degree come in make_field's order."""
     deg = len(candidate) - 1
-    if deg == 1:
-        return True
-
-    def monics(d: int):
-        coeffs = [0] * d
-        while True:
-            yield tuple(coeffs) + (1,)
-            for i in range(d):
-                coeffs[i] += 1
-                if coeffs[i] < p:
-                    break
-                coeffs[i] = 0
-            else:
-                return
-
     for d in range(1, deg // 2 + 1):
-        for div in monics(d):
-            if not _poly_mod(candidate, div, p):
+        for high in product(range(p), repeat=d):
+            if not _poly_mod(candidate, high[::-1] + (1,), p):
                 return False
     return True
 
@@ -92,8 +79,10 @@ def _irreducible(candidate: tuple[int, ...], p: int) -> bool:
 class FieldSpec:
     """GF(p^k) under a fixed monic irreducible modulus.
 
-    The modulus is the lexicographically smallest irreducible when built
-    through make_field, comparing coefficients lowest degree first.
+    Built through make_field, the modulus is the first monic irreducible
+    in the order where the constant coefficient turns fastest, i.e. the
+    one whose lower coefficients, read as a base-p integer lowest degree
+    first, are least (x^3 + x + 1 for GF(8)).
 
     Arithmetic is by table lookup.  The tables are built on first use in
     O(q) steps of coefficient arithmetic: the powers of the least
@@ -210,25 +199,20 @@ class FieldSpec:
 
 
 def make_field(p: int, k: int) -> FieldSpec:
-    """GF(p^k) with the first irreducible modulus in lexicographic order."""
+    """GF(p^k) with the first monic irreducible modulus of degree k in
+    the order of itertools.product over the coefficients below x^k, each
+    tuple reversed so that the constant coefficient turns fastest."""
     if not _is_prime(p):
         raise FieldError(f"{p} is not prime")
     if k < 1:
         raise FieldError(f"need extension degree k >= 1, got {k}")
     if p ** k > MAX_FIELD:
         raise FieldError(f"field order capped at {MAX_FIELD}, got {p ** k}")
-    coeffs = [0] * k
-    while True:
-        candidate = tuple(coeffs) + (1,)
+    for high in product(range(p), repeat=k):
+        candidate = high[::-1] + (1,)
         if _irreducible(candidate, p):
             return FieldSpec(p=p, k=k, modulus=candidate)
-        for i in range(k):
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-        else:
-            raise AssertionError(f"no irreducible of degree {k} over GF({p})")
+    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
 def field_of_order(q: int) -> FieldSpec:

@@ -173,9 +173,6 @@ class SolveResult:
     value_exact: bool = True
     uniform_optima: bool | None = None
 
-    def witness_sets(self, fam: SetFamily) -> list[tuple[int, ...]]:
-        return [fam.member(i) for i in self.witness]
-
 
 def _color_order(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; same-class members pairwise

@@ -1,10 +1,10 @@
 """Independent brute-force oracles and instance generators for tests.
 
 Everything here deliberately avoids the package's search code paths:
-path counting walks raw sequences, maximum intersecting subfamilies come
-from an all-subsets scan or Bron-Kerbosch, transversals from a
-combinations sweep, the Hilton-Milner anchor families from a scan over
-every anchor triple.
+path counting and listing walk raw sequences, maximum intersecting
+subfamilies come from an all-subsets scan or Bron-Kerbosch, transversals
+from a combinations sweep, the Hilton-Milner anchor families from a scan
+over every anchor triple.
 """
 
 from __future__ import annotations
@@ -40,6 +40,27 @@ def naive_path_count(g: Graph, r: int) -> int:
         walk([start], {start})
     assert total % 2 == 0
     return total // 2
+
+
+def naive_paths(g: Graph, lo: int, hi: int) -> list[tuple[tuple[int, ...], int]]:
+    """(sequence, vertex mask) of every path on lo..hi vertices, sorted:
+    every raw walk as a vertex set, each subgraph once in the form
+    min(seq, seq[::-1])."""
+    canon: set[tuple[int, ...]] = set()
+
+    def walk(seq: list[int]) -> None:
+        if len(seq) >= lo:
+            canon.add(min(tuple(seq), tuple(seq[::-1])))
+        if len(seq) == hi:
+            return
+        for w in g.neighbors[seq[-1]]:
+            if w not in seq:
+                walk(seq + [w])
+
+    if hi >= 1:
+        for start in range(g.n):
+            walk([start])
+    return sorted((seq, mask_of(seq)) for seq in canon)
 
 
 def naive_girth(g: Graph) -> float:

@@ -1,7 +1,8 @@
 import pytest
 
 import helpers
-from ekrlab.graphs import Graph, GraphError, make_cycle, make_sun, make_theta
+from ekrlab.graphs import Graph, GraphError, make_cycle, make_random_tree, make_sun, \
+    make_theta
 from ekrlab.paths import PathSubgraph, enumerate_paths_all, enumerate_paths_r, \
     enumerate_paths_upto, image_on_cycle, to_setfamily
 
@@ -48,6 +49,45 @@ class TestEnumerateUniform:
     def test_ground_cap_boundary(self):
         edge = Graph(n=128, edges=frozenset((i, i + 1) for i in range(127)))
         assert len(enumerate_paths_r(edge, 2)) == 127
+
+
+# a triangle, an edge, an isolated vertex and a 3-edge path, in one graph
+DISCONNECTED = Graph(n=10, edges=frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (6, 7),
+                                            (7, 8), (8, 9)}))
+WALK_HOSTS = ([make_cycle(n) for n in (3, 4, 7, 10)]
+              + [make_sun(n, t) for n in (3, 5, 6) for t in (0, 1, 2)]
+              + [make_theta(a) for a in ((1, 2), (2, 3, 3), (3, 4, 5), (2, 2, 2, 2))]
+              + [make_random_tree(n, seed) for n in (1, 2, 6, 11) for seed in (0, 1)]
+              + [DISCONNECTED])
+
+
+def _listed(pf):
+    return [(p.seq, p.mask) for p in pf.paths]
+
+
+class TestAgainstNaiveWalk:
+    """The full (sequence, mask) lists of the three enumerators against
+    the set-based walk in helpers."""
+
+    @pytest.mark.parametrize("g", WALK_HOSTS, ids=lambda g: f"{g.kind}{g.meta}-n{g.n}")
+    def test_every_family(self, g):
+        for r in range(1, g.n + 1):
+            assert _listed(enumerate_paths_r(g, r)) == helpers.naive_paths(g, r, r)
+        for k in (1, 2, g.n, g.n + 3):
+            assert _listed(enumerate_paths_upto(g, k)) == helpers.naive_paths(g, 1, k)
+        assert _listed(enumerate_paths_all(g)) == helpers.naive_paths(g, 1, g.n)
+
+    def test_no_vertices(self):
+        empty = Graph(n=0, edges=frozenset())
+        with pytest.raises(GraphError):
+            enumerate_paths_all(empty)
+        with pytest.raises(GraphError):
+            enumerate_paths_r(empty, 1)
+        assert len(enumerate_paths_upto(empty, 3)) == 0
+
+    def test_upto_needs_k(self):
+        with pytest.raises(GraphError):
+            enumerate_paths_upto(make_cycle(4), 0)
 
 
 class TestCanonicalForm:

@@ -8,8 +8,9 @@ of optima.  Half of the families are symmetric: closed under a rotation
 of the ground set, or under the rotation and the reflection e -> -e
 (the dihedral group), and carrying those permutations as their
 symmetry, so the searches also branch on orbits, skip branches whose
-image was searched and close their optima under the group.  derandomize
-keeps every run on the same examples.
+image was searched and close their optima under the group.  A last
+property relabels the ground set and checks that no value and no optimum
+changes.  derandomize keeps every run on the same examples.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from ekrlab.families import SetFamily, mask_of
 from ekrlab.solvers import Limits, enumerate_maximum_s_intersecting, \
-    max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
-    min_transversal
+    max_intersecting_sperner, max_nonstar_s_intersecting, max_s_intersecting, \
+    max_triangular_intersecting, min_transversal
 
 MAX_GROUND = 10
 MAX_MEMBERS = 12
@@ -131,3 +132,45 @@ def test_min_transversal(fam, budget):
         assert cut.value == res.value
     if not cut.limits_hit:
         assert cut == res
+
+
+@st.composite
+def relabelled(draw):
+    """A family, and its copy under a drawn relabelling of the ground set
+    (re-sorting the images permutes the members) with the symmetry
+    dropped or conjugated; also the relabelling's inverse."""
+    fam = draw(families())
+    perm = tuple(draw(st.permutations(range(fam.ground))))
+    inverse = [0] * fam.ground
+    for e, image in enumerate(perm):
+        inverse[image] = e
+    symmetry = ()
+    if draw(st.booleans()):
+        # conjugate by perm: the image of perm[e] is perm[g[e]]
+        symmetry = tuple(tuple(perm[g[inverse[e]]] for e in range(fam.ground))
+                         for g in fam.symmetry)
+    sets = tuple(sorted(_permute(mask, perm) for mask in fam.sets))
+    return fam, SetFamily(ground=fam.ground, sets=sets, symmetry=symmetry), tuple(inverse)
+
+
+def _optima_masks(fam, optima, perm=None):
+    """Each optimum as the sorted masks of its members, relabelled by
+    perm when given; the optima sorted."""
+    sets = fam.sets if perm is None else [_permute(m, perm) for m in fam.sets]
+    return sorted(tuple(sorted(sets[i] for i in opt)) for opt in optima)
+
+
+@SETTINGS
+@given(relabelled(), st.sampled_from((1, 2, 3)))
+def test_relabelling_invariance(case, s):
+    fam, moved, inverse = case
+    for solve in (max_s_intersecting, max_nonstar_s_intersecting,
+                  max_triangular_intersecting):
+        assert solve(moved, s).value == solve(fam, s).value
+    assert min_transversal(moved).value == min_transversal(fam).value
+    assert max_intersecting_sperner(moved).value == max_intersecting_sperner(fam).value
+    res = enumerate_maximum_s_intersecting(fam, s)
+    res_moved = enumerate_maximum_s_intersecting(moved, s)
+    assert res_moved.value == res.value and not res_moved.limits_hit
+    assert _optima_masks(moved, res_moved.all_optima, inverse) \
+        == _optima_masks(fam, res.all_optima)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,27 @@ class TestCheckEkr:
         assert v.oracle_match is True
         assert v.construction_ok is True
         assert v.max_star["size"] == 3
+
+    @pytest.mark.parametrize("g,mode,size,s", [
+        (make_cycle(8), "uniform", 4, 1),
+        (make_sun(5, 1), "uniform", 4, 2),
+        (make_theta((2, 3, 3)), "upto", 3, 1),
+    ], ids=["cycle8-r4", "sun5-1-r4-s2", "theta233-upto3"])
+    def test_star_scanned_once(self, monkeypatch, g, mode, size, s):
+        # the verdict's max_star and the search's star seed share one
+        # scan of each member's s-subsets
+        import ekrlab.families as families
+
+        calls = []
+
+        def counting(elems, k):
+            calls.append(k)
+            return combinations(elems, k)
+
+        monkeypatch.setattr(families, "combinations", counting)
+        v = check_ekr(g, mode, size, s)
+        assert v.value_exact
+        assert calls == [s] * v.family_size
 
     def test_cycle_nonstrict_at_half(self):
         v = check_ekr(make_cycle(6), "uniform", 3, 1)
