@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .graphs import Graph, GraphError, make_graph
-from .oracles import SUN_VARIANTS
+from .oracles import SUN_VARIANTS, hm_window, sun_window, theta_window
 from .solvers import DEFAULT_LIMITS, Limits
 from .verdicts import EXIT_CLEAN, EXIT_LIMITS, EXIT_MISMATCH, MODES, Verdict, \
-    _instance_tag, check_ekr, check_hm
+    _instance_tag, check_ekr, check_hm, host_tag
 
 SCHEMA_VERSION = 1
 
@@ -114,19 +114,16 @@ def _instances(cfg: CampaignConfig) -> list[Graph]:
 
 def _valid_r(cfg: CampaignConfig, g: Graph, s: int) -> list[int]:
     if cfg.check == "hm":
-        n = g.meta["n"]
-        return [r for r in range(3, n // 2 + 1) if 3 * r >= n + 3]
+        return list(hm_window(g.meta["n"]))
     if cfg.mode == "all-paths":
         return [0]
     if g.kind in ("cycle", "sun"):
         n = g.meta["n"]
-        top = (n + s - 1) // 2
         if cfg.mode == "upto":
             return list(range(1, n // 2 + 1))
-        return list(range(max(3, s + 2), top + 1))
+        return list(sun_window(n, s))
     if g.kind == "theta":
-        a = g.meta["a"]
-        return list(range(3, (a[0] + a[1] + 1) // 2 + 1))
+        return list(theta_window(g.meta["a"]))
     return list(range(1, g.n + 1))
 
 
@@ -138,12 +135,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         for s in cfg.s:
             r_values = _valid_r(cfg, g, s) if cfg.r == "valid" else list(cfg.r)
             if not r_values:
-                skipped.append({
-                    "instance": {"kind": g.kind, **{k: list(v) if isinstance(v, tuple)
-                                                    else v for k, v in g.meta.items()},
-                                 "s": s},
-                    "reason": "no admissible r for these parameters",
-                })
+                skipped.append({"instance": {**host_tag(g), "s": s},
+                                "reason": "no admissible r for these parameters"})
                 continue
             for r in r_values:
                 size = None if cfg.mode == "all-paths" else r

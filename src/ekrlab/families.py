@@ -161,16 +161,14 @@ def full_star(fam: SetFamily, center: int) -> SetFamily:
 
 
 def stats(fam: SetFamily, s_max: int = 1) -> FamilyStats:
-    """Exact degree statistics; Delta_s scans s-subsets of members only."""
+    """Exact degree statistics; Delta_s is the size of the largest full
+    s-star (best_full_star, one scan of the s-subsets per family and s)."""
     if s_max < 1:
         raise ValueError(f"need s_max >= 1, got {s_max}")
     if not fam.sets:
         return FamilyStats(m=0, delta=0, delta_s={s: 0 for s in range(1, s_max + 1)},
                            min_size=0, common=0)
-    delta_s: dict[int, int] = {}
-    for s in range(1, s_max + 1):
-        counts = Counter(chain.from_iterable(combinations(elems, s) for elems in fam.elems))
-        delta_s[s] = max(counts.values()) if counts else 0
+    delta_s = {s: best_full_star(fam, s)[0] for s in range(1, s_max + 1)}
     common = fam.sets[0]
     for mask in fam.sets[1:]:
         common &= mask
@@ -196,9 +194,7 @@ def best_full_star(fam: SetFamily, s: int) -> tuple[int, int]:
 
 def is_triangular(fam: SetFamily) -> bool:
     """Every three members have empty common intersection."""
-    if len(fam.sets) < 3:
-        return True
-    return stats(fam).delta <= 2
+    return best_full_star(fam, 1)[0] <= 2
 
 
 def is_sperner(fam: SetFamily) -> bool:

@@ -30,6 +30,25 @@ class OracleValue:
 SUN_VARIANTS = ("binomial", "squared")
 
 
+def sun_window(n: int, s: int) -> range:
+    """The r for which sun_bound is proven on a sun with n cycle
+    vertices: 3 <= s+2 <= r and 2r <= n+s-1."""
+    return range(max(3, s + 2), (n + s - 1) // 2 + 1)
+
+
+def hm_window(n: int) -> range:
+    """The r for which hm_cycle_size is proven on the n-cycle:
+    n+3 <= 3r and 2r <= n."""
+    return range((n + 5) // 3, n // 2 + 1)
+
+
+def theta_window(a: tuple[int, ...] | list[int]) -> range:
+    """The r for which the hub star of the theta graph with strand
+    lengths a (shortest first) is claimed maximum: 3 <= r and
+    2r <= a1+a2+1."""
+    return range(3, (a[0] + a[1] + 1) // 2 + 1)
+
+
 def sun_bound(n: int, t: int, r: int, s: int,
               variant: str = "squared") -> OracleValue:
     """Maximum size of an s-intersecting family of r-vertex paths in the
@@ -46,7 +65,7 @@ def sun_bound(n: int, t: int, r: int, s: int,
         raise ValueError(f"unknown variant {variant!r}")
     source = f"sun-star-bound/{variant}"
     cond = f"3 <= s+2 <= r <= floor((n+s-1)/2), t >= 0 [n={n} t={t} r={r} s={s}]"
-    if s < 1 or t < 0 or r < 3 or r < s + 2 or 2 * r > n + s - 1:
+    if s < 1 or t < 0 or r not in sun_window(n, s):
         return OracleValue.out_of_range(cond, source)
     collapse = (r == s + 2) if variant == "binomial" else (r == 3)
     pair_count = comb(t, 2) if collapse else t * t
@@ -59,7 +78,7 @@ def hm_cycle_size(n: int, r: int) -> OracleValue:
     n-cycle: 3r - n inside the admissible window."""
     source = "cycle-nonstar-max"
     cond = f"(n+3)/3 <= r <= n/2 [n={n} r={r}]"
-    if 3 * r < n + 3 or 2 * r > n:
+    if r not in hm_window(n):
         return OracleValue.out_of_range(cond, source)
     return OracleValue(value=3 * r - n, applicable=True, condition=cond, source=source)
 

@@ -11,10 +11,12 @@ with a greedy coloring bound, in one of three modes:
   an element in a third member.
 
 One recursive loop does the branching in every mode: a collecting pass,
-of which a maximum search is the run that keeps no ties.  It carries
-the hook's state and the symmetry generators in force at the node (see
-below); a plain search's hook keeps every candidate and counts every
-clique.
+of which a maximum search is the run that keeps no ties and the
+certification's decision (does a clique of the maximum weight that
+counts extend the classes taken so far?) the run that stops at its first
+clique.  It carries the hook's state and the symmetry generators in
+force at the node (see below); a plain search's hook keeps every
+candidate and counts every clique.
 
 The plain and non-star searches run on the twin quotient of the graph:
 members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
@@ -428,7 +430,8 @@ def _order_exceeds(gens: tuple[Perm, ...], limit: int) -> bool:
 
 
 class _Capped(Exception):
-    """A collecting pass under a group holds more than cap optima."""
+    """A collecting pass under a group holds more than cap optima, or a
+    decision pass found its clique."""
 
 
 def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
@@ -521,9 +524,9 @@ class _CliqueSearch:
     the hook's verdicts; elements lists the group they generate without
     the identity, or is () when its order passes m^2.
 
-    One recursive loop, _collect, branches for maximum() and
-    enumerate_exact(); exists() is the certification's decision search.
-    _collect carries the hook's state and the generators of the group in
+    One recursive loop, _collect, branches for maximum(),
+    enumerate_exact() and the decision passes of lex_least().  _collect
+    carries the hook's state and the generators of the group in
     force at the node: while there are any it branches on orbits, and a
     node whose group is trivial gets ().  With the group listed it also
     runs the dominance check (_dominating) at every candidate below the
@@ -555,6 +558,8 @@ class _CliqueSearch:
         # group-free pass) and U_-1..U_k-1 along the stack
         self._listed = self.elements
         self._done = [0]
+        # no clique that counts weighs more, so none is grown past it
+        self._ceiling = len(self.graph.pos)
 
     def maximum(self, seed: tuple[int, int] | None = None) -> tuple[int, tuple[int, ...], bool]:
         """(weight, clique as ascending quotient vertices, limits_hit) of
@@ -593,30 +598,6 @@ class _CliqueSearch:
                     best = (size, mask)
         return seed if seed is not None and seed[0] > best[0] else best
 
-    def exists(self, cand: int, need: int, state, counts: bool) -> bool:
-        """Decision variant: is there a clique of weight need inside cand
-        that counts?  state is the hook's state of the clique taken so
-        far and counts whether that clique counts.  need always completes
-        a maximum, so no clique that counts weighs more: the search skips
-        a vertex that overshoots need."""
-        if need <= 0:
-            return counts
-        adj, weight, hook = self.adj, self.weight, self.hook
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
-        for i in range(len(order) - 1, -1, -1):
-            if bounds[i] < need:
-                return False
-            v = order[i]
-            self.budget.spend()
-            rest = need - (1 if weight is None else weight[v])
-            if rest >= 0:
-                nxt, inner, ok = hook.step(state, v, cand & adj[v])
-                if self.exists(nxt, rest, inner, ok):
-                    return True
-            cand ^= 1 << v
-        return False
-
     def lex_least(self, size: int) -> tuple[int, ...]:
         """Deterministic certification pass: the lexicographically least
         clique of weight size that counts, under the family's index
@@ -625,27 +606,50 @@ class _CliqueSearch:
         Every optimum is a union of whole quotient classes, and the least
         member of the first class where two optima differ decides their
         order, so the pass tries the quotient vertices by least member
-        and takes or drops a whole class at once."""
+        and takes or drops a whole class at once.  Whether some clique of
+        weight size that counts extends the classes taken is a decision
+        pass of _collect: group-free, with threshold and ceiling size, and
+        stopped (by _Capped) at the first such clique."""
         adj, weight, hook = self.adj, self.weight, self.hook
         chosen: list[int] = []
         cand = (1 << self.m) - 1
         state = hook.root
-        left = size
+        taken = 0
         for q in self.graph.lex():
-            if left <= 0:
+            if taken >= size:
                 break
             if not (cand >> q) & 1:
                 continue
-            rest = left - (1 if weight is None else weight[q])
+            grown = taken + (1 if weight is None else weight[q])
             nxt, inner, counts = hook.step(state, q, cand & adj[q])
-            if rest >= 0 and self.exists(nxt, rest, inner, counts):
+            if grown == size:
+                extends = counts
+            else:
+                # a copy: _Capped unwinds without popping the stack
+                extends = grown < size and self._extends(chosen + [q], grown, nxt, inner, size)
+            if extends:
                 chosen.append(q)
-                cand, left, state = nxt, rest, inner
+                cand, taken, state = nxt, grown, inner
             else:
                 cand ^= 1 << q
-        if left > 0:
+        if taken < size:
             raise AssertionError("certification pass lost the optimum")
         return self.graph.expand(chosen)
+
+    def _extends(self, stack: list[int], weight: int, cand: int, state, size: int) -> bool:
+        """The certification's decision: does a clique of weight size
+        that counts extend the clique on stack (of weight weight, with
+        candidates cand and hook state state)?  A group-free collecting
+        pass with threshold and ceiling size, stopped by _Capped at the
+        first such clique."""
+        self._start(size, [], 0, True)
+        self._listed = ()
+        self._ceiling = size
+        try:
+            self._collect(stack, weight, cand, state, ())
+        except _Capped:
+            return True
+        return False
 
     def enumerate_exact(self, floor: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
         """Every maximum clique that counts, as sorted member indices, in
@@ -694,11 +698,16 @@ class _CliqueSearch:
         has an image in a searched branch (see _dominating) is skipped
         and leaves the candidates with its orbit, as if branched on; it
         is not a node.  lead holds an entry for each listed g with
-        g^-1(p_1) on the stack."""
+        g^-1(p_1) on the stack.
+
+        No clique that counts weighs more than the ceiling (the member
+        count, or the decision pass's weight), so a vertex that would
+        grow the clique past it is a node that leaves the candidates
+        unsearched, and a clique at the ceiling gets no child."""
         adj, weight, hook = self.adj, self.weight, self.hook
         order, bounds = _color_order(adj, cand) if weight is None \
             else _weighted_color_order(adj, cand, weight)
-        listed = self._listed
+        listed, ceiling = self._listed, self._ceiling
         start = cand
         for i in range(len(order) - 1, -1, -1):
             reach = size + bounds[i]
@@ -715,12 +724,15 @@ class _CliqueSearch:
                     cand &= ~_orbit(gens, v) if gens else ~(1 << v)
                     continue
             self.budget.spend()
-            stack.append(v)
             grown = size + (1 if weight is None else weight[v])
+            if grown > ceiling:
+                cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+                continue
+            stack.append(v)
             nxt, inner, counts = hook.step(state, v, cand & adj[v])
             if counts:
                 self._record(stack, grown)
-            if nxt:
+            if nxt and grown < ceiling:
                 stab = _stabilizer(gens, v) if gens else ()
                 if listed:
                     self._done.append(done)
@@ -810,15 +822,18 @@ class _CliqueSearch:
         more than cap are held.  With the group listed the images are
         those under each element; otherwise a breadth-first closure
         under the generators.  found holds them ascending, as bytes when
-        the group's tables are bytes (translate maps them)."""
+        the group's tables are bytes (translate maps them).  A decision
+        pass (cap 0) stops at its first clique, before any image."""
         seen, found, cap = self._seen, self.found, self._cap
         perms = self.elements or self.gens
-        as_seq = bytes if type(perms[0]) is bytes else tuple
+        as_seq = bytes if perms and type(perms[0]) is bytes else tuple
         clique = as_seq(sorted(stack))
         if clique in seen:
             return
         seen.add(clique)
         found.append(clique)
+        if len(found) > cap:
+            raise _Capped
         queue = [clique]
         for c in queue:
             for g in perms:
@@ -883,10 +898,11 @@ def _sample_witness(search: _CliqueSearch) -> tuple[int, ...]:
     """The witness of a capped optima list, which is only a sample: the
     certified lex-least optimum, or on a budget overrun the least
     clique collected."""
+    collected = search.found  # the certification's decision passes reset it
     try:
         return search.lex_least(search.best)
     except _BudgetExceeded:
-        return min(search.graph.expand(clique) for clique in search.found)
+        return min(search.graph.expand(clique) for clique in collected)
 
 
 def max_s_intersecting(fam: SetFamily, s: int,

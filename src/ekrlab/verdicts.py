@@ -147,7 +147,7 @@ def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
             return OracleValue.out_of_range("theta(1,2) is the triangle",
                                             "theta-hub-star")
         probe = oracles.theta_f(len(a), a[0], size, a2=a[1])
-        if probe.applicable and 2 * size > a[0] + a[1] + 1:
+        if probe.applicable and size not in oracles.theta_window(a):
             return OracleValue.out_of_range(
                 f"r={size} beyond (a1+a2+1)/2", probe.source)
         return probe
@@ -238,7 +238,7 @@ def _check_construction(g: Graph, mode: str, size: int | None, s: int,
             return ok
         if g.kind == "theta" and mode == "uniform" and s == 1:
             a = g.meta["a"]
-            if size < 3 or 2 * size > a[0] + a[1] + 1:
+            if size not in oracles.theta_window(a):
                 return None
             hub_star = sum(1 for m in fam.sets if m & 1)
             return hub_star == star_size
@@ -297,10 +297,15 @@ def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     )
 
 
+def host_tag(g: Graph) -> dict:
+    """The host graph of a report entry: its kind and parameters, tuples
+    as lists."""
+    return {"kind": g.kind, **{key: list(val) if isinstance(val, tuple) else val
+                               for key, val in g.meta.items()}}
+
+
 def _instance_tag(g: Graph, mode: str, size: int | None, s: int) -> dict:
-    tag: dict = {"kind": g.kind, "mode": mode, "s": s}
-    for key, val in g.meta.items():
-        tag[key] = list(val) if isinstance(val, tuple) else val
+    tag = {"kind": g.kind, "mode": mode, "s": s} | host_tag(g)
     if mode == "uniform" or mode == "nonstar":
         tag["r"] = size
     elif mode == "upto":

@@ -330,6 +330,19 @@ class TestNodeCounts:
                                               enumerate_optima=True)
             assert res.witness == full.witness
 
+    @pytest.mark.parametrize("host, r, value, nodes", [
+        (lambda: make_sun(10, 2), 5, 17, 578),
+        (lambda: make_sun(8, 2), 4, 8, 123),
+        (lambda: make_cycle(12), 5, 3, 37),
+        (lambda: make_theta((3, 3, 3, 3)), 3, 3, 65),
+    ], ids=["sun-10-2", "sun-8-2", "cycle-12", "theta-3-3-3-3"])
+    def test_nonstar_certification_node_for_node(self, host, r, value, nodes):
+        # exact: a heavier star clique exists, so a certification that
+        # grew cliques past the value took 1,124 nodes on sun(10,2)
+        res = max_nonstar_s_intersecting(path_family(host(), r), 1)
+        assert res.value == value and res.value_exact and not res.limits_hit
+        assert res.nodes == nodes
+
     def test_nonstar_enumeration_on_all_paths_of_cycle_9(self):
         # 699,237 nodes when the quotient was in member order
         res = max_nonstar_s_intersecting(to_setfamily(enumerate_paths_all(make_cycle(9))), 1,
@@ -409,6 +422,35 @@ class TestNodeCounts:
             assert all(m & mask_of(res.witness) for m in fam.sets)
             total += res.nodes
         assert total <= 5339
+
+
+class TestCertificationOverrun:
+    """A budget that the maximum search finishes in and the clique
+    certification overruns: the value is exact, the witness is the
+    maximum search's clique, not the lex-least optimum, and the search
+    spent the whole budget."""
+
+    @pytest.mark.parametrize("solve, fam, budget, witness", [
+        (lambda f, lim: max_s_intersecting(f, 2, lim),
+         lambda: path_family(make_sun(10, 2), 5), 2,
+         (12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+          32, 33, 36, 39)),
+        (lambda f, lim: max_nonstar_s_intersecting(f, 1, lim),
+         lambda: path_family(make_sun(10, 2), 5), 283,
+         (39, 59, 63, 64, 65, 66, 67, 68, 69, 70, 71, 81, 82, 83, 87, 88, 89)),
+        (lambda f, lim: max_triangular_intersecting(f, 1, lim),
+         lambda: build_pg(make_field(7, 1)).lines, 49, (1, 7, 25, 31, 40, 48, 55, 56)),
+    ], ids=["max-sun-10-2", "nonstar-sun-10-2", "triangular-pg7"])
+    def test_budget_overrun_in_the_certification(self, solve, fam, budget, witness):
+        fam = fam()
+        full = solve(fam, Limits())
+        assert full.value_exact and not full.limits_hit and full.nodes > budget
+        res = solve(fam, Limits(node_budget=budget))
+        assert res.limits_hit and res.value_exact and res.nodes == budget
+        assert res.value == full.value == len(res.witness)
+        assert res.witness == witness != full.witness
+        # one node less and the maximum search itself overruns
+        assert not solve(fam, Limits(node_budget=budget - 1)).value_exact
 
 
 class TestNonStar:
