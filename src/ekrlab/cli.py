@@ -120,14 +120,21 @@ def _emit_verdict(verdict: Verdict, out: str | None) -> int:
 
 
 def _cmd_pg(args: argparse.Namespace) -> int:
+    """Every family is built before any is written, so a construction
+    that does not exist for q leaves nothing half written."""
+    if args.construction != "none" and args.construction_out is None:
+        # a second family on the plane's stream would not parse back
+        raise ValueError("--construction needs --construction-out")
     spec = field_of_order(args.q)
+    fam = None
+    if args.construction != "none":
+        fam = triangular_odd(spec) if args.construction == "odd" \
+            else triangular_char2(spec)
     plane = build_pg(spec)
     _write(emit_family(plane.lines), args.out)
     if args.map_out:
         _write(emit_pg_map(plane), args.map_out)
-    if args.construction != "none":
-        fam = triangular_odd(spec) if args.construction == "odd" \
-            else triangular_char2(spec)
+    if fam is not None:
         _write(emit_family(fam), args.construction_out)
     return 0
 

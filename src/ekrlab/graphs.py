@@ -71,6 +71,13 @@ class Graph:
             lists[v].append(u)
         return tuple(tuple(sorted(l)) for l in lists)
 
+    @cached_property
+    def families(self) -> dict:
+        """The path families built on this graph, by (mode, size) with
+        size None for all paths; filled by verdicts.build_family, so each
+        family is walked once per graph whatever the s asked of it."""
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 

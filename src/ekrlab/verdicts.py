@@ -74,17 +74,25 @@ class Verdict:
 
 
 def build_family(g: Graph, mode: str, size: int | None) -> SetFamily:
+    """The path family of a mode on g, built on the first call and taken
+    from g.families after; only a successful build is kept."""
+    key = (mode, None if mode == "all-paths" else size)
+    if key in g.families:
+        return g.families[key]
     if mode == "uniform":
         if size is None:
             raise GraphError("uniform mode needs r")
-        return to_setfamily(enumerate_paths_r(g, size))
-    if mode == "upto":
+        fam = to_setfamily(enumerate_paths_r(g, size))
+    elif mode == "upto":
         if size is None:
             raise GraphError("upto mode needs k")
-        return to_setfamily(enumerate_paths_upto(g, size))
-    if mode == "all-paths":
-        return to_setfamily(enumerate_paths_all(g))
-    raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
+        fam = to_setfamily(enumerate_paths_upto(g, size))
+    elif mode == "all-paths":
+        fam = to_setfamily(enumerate_paths_all(g))
+    else:
+        raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
+    g.families[key] = fam
+    return fam
 
 
 @lru_cache(maxsize=1)

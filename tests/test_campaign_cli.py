@@ -280,6 +280,30 @@ class TestCli:
         assert len(construction) == 6
         assert len(pmap.read_text().splitlines()) == 22
 
+    def test_pg_missing_construction_writes_nothing(self, tmp_path, capsys):
+        # PG(4) has no odd-q construction: the error comes before the plane
+        # is written, to stdout or to --out
+        tri = tmp_path / "tri.txt"
+        assert main(["pg", "--q", "4", "--construction", "odd",
+                     "--construction-out", str(tri)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: construction for odd q")
+        lines = tmp_path / "pg.txt"
+        assert main(["pg", "--q", "3", "--out", str(lines), "--construction", "char2",
+                     "--construction-out", str(tri)]) == 1
+        assert not lines.exists() and not tri.exists()
+
+    @pytest.mark.parametrize("construction", ["odd", "char2"])
+    def test_pg_construction_needs_its_own_file(self, construction, tmp_path, capsys):
+        # without --construction-out the construction would follow the plane
+        # on one stream, and a second '# ground=' header does not parse
+        assert main(["pg", "--q", "5" if construction == "odd" else "4",
+                     "--construction", construction]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --construction needs --construction-out\n"
+
     def test_pg_rejects_non_prime_power(self, capsys):
         assert main(["pg", "--q", "6"]) == 1
         assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from ekrlab import paths, solvers, verdicts
@@ -533,18 +534,24 @@ class TestMinTransversal:
 
     def test_matches_naive(self):
         # value and lex-least witness against the all-subsets scan, on
-        # intersecting and unrestricted families
-        checked = 0
-        for seed in range(60):
-            for fam in (helpers.mixed_intersecting_family(seed), helpers.random_family(seed)):
-                if not 0 < len(fam) <= 14:
-                    continue
-                checked += 1
-                res = min_transversal(fam)
-                expected = helpers.naive_lex_least_transversal(fam)
-                assert (res.value, res.witness) == (len(expected), expected), fam.name
-                assert res.value_exact and not res.limits_hit
-        assert checked >= 100
+        # intersecting and unrestricted families from drawn helper seeds
+        checked = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+        @given(seed=st.integers(0, 10_000),
+               generator=st.sampled_from((helpers.mixed_intersecting_family,
+                                          helpers.random_family)))
+        def check(seed, generator):
+            fam = generator(seed)
+            assume(0 < len(fam) <= 14)
+            res = min_transversal(fam)
+            expected = helpers.naive_lex_least_transversal(fam)
+            assert (res.value, res.witness) == (len(expected), expected), fam.name
+            assert res.value_exact and not res.limits_hit
+            checked.add((generator.__name__, seed))
+
+        check()
+        assert len(checked) >= 100
 
     # 12 triples over 10 points: tau = 4 (the greedy bound), proven in 5
     # nodes of the minimum search and certified lex-least in 2 more
@@ -571,17 +578,17 @@ class TestMinTransversal:
         assert res.value == 4 and res.witness != full.witness
         assert len(res.witness) == 4 and all(mask & mask_of(res.witness) for mask in fam.sets)
 
-    def test_tau_sandwich(self):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000))
+    def test_tau_sandwich(self, seed):
         # ceil(m/delta) <= tau <= min(ceil(m/2), min member size)
         import math
-        for seed in range(40):
-            fam = helpers.mixed_intersecting_family(seed)
-            if len(fam) < 1:
-                continue
-            st = stats(fam)
-            tau = min_transversal(fam).value
-            assert math.ceil(len(fam) / st.delta) <= tau
-            assert tau <= min(math.ceil(len(fam) / 2), st.min_size)
+        fam = helpers.mixed_intersecting_family(seed)
+        assume(len(fam) >= 1)
+        fam_stats = stats(fam)
+        tau = min_transversal(fam).value
+        assert math.ceil(len(fam) / fam_stats.delta) <= tau
+        assert tau <= min(math.ceil(len(fam) / 2), fam_stats.min_size)
 
 
 class TestMaxTriangular:

@@ -5,8 +5,8 @@ import pytest
 
 import helpers
 from ekrlab.families import SetFamily, is_s_star, mask_of
-from ekrlab.graphs import GraphError, make_cycle, make_random_tree, make_sun, \
-    make_theta
+from ekrlab.graphs import GraphError, make_cycle, make_graph, make_random_tree, \
+    make_sun, make_theta
 from ekrlab.solvers import Limits
 from ekrlab.solvers import enumerate_maximum_s_intersecting
 from ekrlab.verdicts import build_family, check_ekr, check_hm, matches_hm_structure, \
@@ -134,6 +134,57 @@ class TestCheckEkr:
     def test_bad_mode(self):
         with pytest.raises(GraphError):
             build_family(make_cycle(6), "nonsense", 3)
+
+
+def _without_runtime(v) -> dict:
+    d = v.to_dict()
+    del d["runtime_ms"]
+    return d
+
+
+class TestFamilyCache:
+    """A graph keeps the families built on it by (mode, size), so verdicts
+    for every s on one graph object walk its paths once."""
+
+    def test_the_second_build_returns_the_first_family(self):
+        g = make_sun(5, 1)
+        for mode, size in (("uniform", 4), ("upto", 3), ("all-paths", None)):
+            assert build_family(g, mode, size) is build_family(g, mode, size)
+        # all paths take no size, so any size finds the same family
+        assert build_family(g, "all-paths", 7) is build_family(g, "all-paths", None)
+        assert sorted(g.families, key=str) == [
+            ("all-paths", None), ("uniform", 4), ("upto", 3)]
+
+    @pytest.mark.parametrize("kind,params,mode,size", [
+        ("tree", {"n": 8, "seed": 3}, "uniform", 4),
+        ("sun", {"n": 6, "t": 1}, "uniform", 4),
+        ("theta", {"a": (2, 3, 3)}, "uniform", 3),
+        ("sun", {"n": 5, "t": 1}, "upto", 3),
+        ("sun", {"n": 5, "t": 1}, "all-paths", None),
+    ], ids=["tree8-r4", "sun6-1-r4", "theta233-r3", "sun5-1-upto3", "sun5-1-all"])
+    def test_verdicts_on_a_reused_family_equal_fresh_ones(self, kind, params, mode, size):
+        g = make_graph(kind, **params)
+        for s in (1, 2, 3):
+            fresh = check_ekr(make_graph(kind, **params), mode, size, s)
+            assert _without_runtime(check_ekr(g, mode, size, s)) == _without_runtime(fresh), s
+        assert list(g.families) == [(mode, size)]
+
+    def test_check_hm_and_check_ekr_share_a_cycle_family(self):
+        g = make_cycle(10)
+        hm, ekr = check_hm(g, 4), check_ekr(g, "uniform", 4, 1)
+        assert _without_runtime(hm) == _without_runtime(check_hm(make_cycle(10), 4))
+        assert _without_runtime(ekr) == _without_runtime(
+            check_ekr(make_cycle(10), "uniform", 4, 1))
+        assert list(g.families) == [("uniform", 4)]
+
+    @pytest.mark.parametrize("mode,size", [
+        ("uniform", 6), ("uniform", None), ("upto", 0), ("nonsense", 3)])
+    def test_a_failed_build_raises_again_and_caches_nothing(self, mode, size):
+        g = make_cycle(5)
+        for _ in range(2):
+            with pytest.raises(GraphError):
+                build_family(g, mode, size)
+        assert g.families == {}
 
 
 class TestCheckHm:
