@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -96,7 +97,12 @@ def parse_config(text: str) -> CampaignConfig:
     return cfg
 
 
-def _instances(cfg: CampaignConfig) -> list[Graph]:
+def _instances(cfg: CampaignConfig) -> Iterator[Graph]:
+    """The campaign's instance graphs, each built when the loop reaches
+    it, so that a graph and the path families it keeps are freed after
+    its last grid point.  The config checks raise on the call, before
+    any graph is built; a generator's own precondition (a cycle with
+    n < 3, say) raises when the loop reaches that instance."""
     grids = {
         "cycle": [{"n": n} for n in cfg.n],
         "sun": [{"n": n, "t": t} for n in cfg.n for t in cfg.t],
@@ -109,7 +115,7 @@ def _instances(cfg: CampaignConfig) -> list[Graph]:
         raise ValueError(f"check hm runs on cycles only, got kind {cfg.kind!r}")
     if cfg.kind == "theta" and not cfg.a:
         raise ValueError("theta campaigns need strand tuples under key 'a'")
-    return [make_graph(cfg.kind, **params) for params in grids[cfg.kind]]
+    return (make_graph(cfg.kind, **params) for params in grids[cfg.kind])
 
 
 def _valid_r(cfg: CampaignConfig, g: Graph, s: int) -> list[int]:

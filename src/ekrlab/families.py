@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -26,6 +26,18 @@ def elems_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def holder_masks(elems: Sequence[tuple[int, ...]]) -> list[int]:
+    """Per element, the mask of the indices of the members (given by
+    their ascending elements) that hold it; one entry per element up to
+    the largest one any member holds."""
+    holders = [0] * (max([el[-1] for el in elems if el], default=-1) + 1)
+    for i, el in enumerate(elems):
+        bit = 1 << i
+        for e in el:
+            holders[e] |= bit
+    return holders
 
 
 def duplicate_note(masks: list[int]) -> str | None:
@@ -108,6 +120,12 @@ class SetFamily:
     def elems(self) -> tuple[tuple[int, ...], ...]:
         """Each member's elements, ascending; computed once per family."""
         return tuple(map(elems_of, self.sets))
+
+    @cached_property
+    def holders(self) -> list[int]:
+        """holders[e]: the member-index mask of the members holding e
+        (holder_masks of elems); computed once per family."""
+        return holder_masks(self.elems)
 
     @cached_property
     def _stars(self) -> dict[int, tuple[int, int]]:

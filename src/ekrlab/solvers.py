@@ -29,6 +29,16 @@ weight in each color class.  A degree cap can split a twin class, so the
 triangular search keeps one vertex per member.  Node counts count
 quotient vertices.
 
+Graphs are built from holder masks, not pair tests (meet_rows,
+_sperner_rows): holders[e] masks the members that hold element e
+(SetFamily.holders, once per family), so a graph on m members of |A|
+elements costs O(m * |A| * s) mask operations, not m^2 / 2 pair tests
+(the Sperner relation: O(m * |A|), and one step per pair of nested
+members).
+The twin quotient's rows are the same relation over one member of each
+class, in quotient order; where the quotient is the graph itself, it
+keeps the graph's rows.
+
 The plain and non-star searches, maxima and enumerations alike, order
 the quotient vertices by descending degree (dense compatibility graphs
 are near-trivial in that order and pathological in member order; the
@@ -97,12 +107,12 @@ state rather than a silent answer.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 
-from .families import SetFamily, best_full_star, elems_of
+from .families import SetFamily, best_full_star, elems_of, holder_masks
 
 sys.setrecursionlimit(100_000)
 
@@ -144,6 +154,60 @@ class _Budget:
         return self.initial - max(self.left, 0)
 
 
+def meet_rows(elems: Sequence[tuple[int, ...]], holders: list[int],
+              s: int) -> tuple[int, ...]:
+    """Per member i, given by its ascending elements, the mask of the
+    other members that meet it in at least s elements; holders[e] masks
+    the members that hold e (families.holder_masks).
+
+    A row counts: after each element of member i, level j (j < s) holds
+    the members met in more than j of its elements so far, and element
+    e moves the members of holders[e] one level up (level j gains level
+    j-1 & holders[e]; level 0 gains holders[e]).  Level j is the j-th
+    m-bit field of one integer, so one shift, one OR and one AND move
+    every level at once, against holders[e] repeated in each field; at
+    s = 1 the row is the union of its elements' holder masks.  A row
+    costs O(|A_i| * s) bit operations instead of m pair tests."""
+    m = len(elems)
+    everyone = (1 << m) - 1
+    spread = sum(1 << (j * m) for j in range(s))
+    repeated = [h * spread for h in holders]
+    top = (s - 1) * m
+    rows = []
+    for i, el in enumerate(elems):
+        levels = 0
+        for e in el:
+            # field j takes field j-1 (field 0: everyone) met again at e
+            levels |= (levels << m | everyone) & repeated[e]
+        rows.append(levels >> top & ~(1 << i))
+    return tuple(rows)
+
+
+def _sperner_rows(elems: Sequence[tuple[int, ...]], holders: list[int]) -> tuple[int, ...]:
+    """Per member, the mask of the members that meet it while neither
+    holds the other (the relation of an intersecting antichain), from
+    holder masks as in meet_rows: the members it meets, minus its
+    supersets (those holding all of its elements, itself and its
+    duplicates among them), minus its subsets (the members whose
+    supersets include it).  O(m * |A|) mask operations, plus one step
+    per pair of nested members."""
+    m = len(elems)
+    meets, sups = [], []
+    for el in elems:
+        meet, sup = 0, (1 << m) - 1
+        for e in el:
+            h = holders[e]
+            meet |= h
+            sup &= h
+        meets.append(meet)
+        sups.append(sup)
+    subs = [0] * m
+    for j, sup in enumerate(sups):
+        for i in elems_of(sup):
+            subs[i] |= 1 << j
+    return tuple(meet & ~(sup | sub) for meet, sup, sub in zip(meets, sups, subs))
+
+
 @dataclass(frozen=True)
 class CompatibilityGraph:
     """Member-level adjacency: bit j of adj[i] set iff |A_i & A_j| >= s."""
@@ -153,15 +217,7 @@ class CompatibilityGraph:
 
     @classmethod
     def build(cls, fam: SetFamily, s: int) -> "CompatibilityGraph":
-        sets = fam.sets
-        m = len(sets)
-        rows = [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if (sets[i] & sets[j]).bit_count() >= s:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return cls(m=m, adj=tuple(rows))
+        return cls(m=len(fam), adj=meet_rows(fam.elems, fam.holders, s))
 
 
 @dataclass(frozen=True)
@@ -176,9 +232,12 @@ class SolveResult:
     uniform_optima: bool | None = None
 
 
-def _color_order(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
+def _color_order(adj: tuple[int, ...], cand: int, floor: int) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; same-class members pairwise
-    non-adjacent, so the class count bounds any clique inside cand."""
+    non-adjacent, so the class count bounds any clique inside cand.
+    Every candidate is colored, but the positions whose bound is below
+    floor are not recorded (Tomita's k_min): the branching loop would
+    stop at the first of them."""
     order: list[int] = []
     bounds: list[int] = []
     color = 0
@@ -186,23 +245,26 @@ def _color_order(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]
     while rest:
         color += 1
         avail = rest
+        keep = color >= floor
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            order.append(v)
-            bounds.append(color)
+            if keep:
+                order.append(v)
+                bounds.append(color)
             rest ^= low
             avail &= ~adj[v]
             avail ^= low
     return order, bounds
 
 
-def _weighted_color_order(adj: tuple[int, ...], cand: int,
-                          weight: list[int]) -> tuple[list[int], list[int]]:
+def _weighted_color_order(adj: tuple[int, ...], cand: int, weight: list[int],
+                          floor: int) -> tuple[list[int], list[int]]:
     """The coloring of _color_order with weighted bounds: a clique takes
     at most one vertex per class, so the bound at a position is the sum
     of the heaviest weight in each class so far (in the class being
-    built, among its vertices so far)."""
+    built, among its vertices so far).  Positions whose bound is below
+    floor are not recorded."""
     order: list[int] = []
     bounds: list[int] = []
     total = 0
@@ -216,8 +278,9 @@ def _weighted_color_order(adj: tuple[int, ...], cand: int,
             w = weight[v]
             if w > top:
                 top = w
-            order.append(v)
-            bounds.append(total + top)
+            if total + top >= floor:
+                order.append(v)
+                bounds.append(total + top)
             rest ^= low
             avail &= ~adj[v]
             avail ^= low
@@ -238,9 +301,10 @@ class _Quotient:
 
     __slots__ = ("rows", "members", "degree", "pos", "weight", "identity")
 
-    def __init__(self, adj: tuple[int, ...], members: list[list[int]],
+    def __init__(self, rows: tuple[int, ...], members: list[list[int]],
                  degree: list[int]) -> None:
-        m = len(adj)
+        m = len(degree)
+        self.rows = rows
         self.members = members
         self.degree = [degree[cls[0]] for cls in members]
         self.pos = pos = [0] * m
@@ -249,20 +313,6 @@ class _Quotient:
                 pos[v] = q
         self.weight = [len(cls) for cls in members] if len(members) < m else None
         self.identity = self.weight is None and pos == list(range(m))
-        if self.identity:
-            self.rows = adj
-            return
-        rows = []
-        for q, cls in enumerate(members):
-            row = adj[cls[0]]
-            out = 0
-            while row:
-                low = row & -row
-                out |= 1 << pos[low.bit_length() - 1]
-                row ^= low
-            # twins are adjacent, so a class row holds its own bit
-            rows.append(out & ~(1 << q))
-        self.rows = tuple(rows)
 
     def lex(self) -> list[int]:
         """The quotient vertices by least member."""
@@ -285,13 +335,20 @@ class _Quotient:
         return sum(len(self.members[q]) for q in elems_of(out)), out
 
 
-def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True) -> _Quotient:
-    """Contract the true twins of adj.  Every optimum is a union of whole
-    twin classes, so the quotient's maximum-weight cliques are the
-    optima.  With by_degree the quotient vertices are ordered by
-    descending degree (ties: least member), the order in which dense
-    compatibility graphs are near-trivial and member order is
-    pathological; otherwise by least member."""
+def _twin_quotient(adj: tuple[int, ...], elems: Sequence[tuple[int, ...]],
+                   relation: Callable[[Sequence[tuple[int, ...]], list[int]], tuple[int, ...]],
+                   by_degree: bool = True) -> _Quotient:
+    """Contract the true twins of adj, the rows relation(elems,
+    holder_masks(elems)) gives over the members elems (meet_rows at some
+    s, or _sperner_rows).  Every optimum is a union of whole twin
+    classes, so the quotient's maximum-weight cliques are the optima.
+    With by_degree the quotient vertices are ordered by descending degree
+    (ties: least member), the order in which dense compatibility graphs
+    are near-trivial and member order is pathological; otherwise by least
+    member.  Twins have the same neighbours outside their class, so the
+    quotient's rows are relation's rows over one member of each class, in
+    quotient order; when those are the members in their own order, the
+    quotient is the graph and its rows are adj."""
     classes: dict[int, list[int]] = {}
     for v, row in enumerate(adj):
         classes.setdefault(row | 1 << v, []).append(v)
@@ -299,7 +356,19 @@ def _twin_quotient(adj: tuple[int, ...], by_degree: bool = True) -> _Quotient:
     degree = [row.bit_count() for row in adj]
     if by_degree:
         members.sort(key=lambda c: (-degree[c[0]], c[0]))
-    return _Quotient(adj, members, degree)
+    reps = [cls[0] for cls in members]
+    if reps == list(range(len(adj))):
+        rows = adj
+    else:
+        rep_elems = [elems[v] for v in reps]
+        rows = relation(rep_elems, holder_masks(rep_elems))
+    return _Quotient(rows, members, degree)
+
+
+def _compat_quotient(fam: SetFamily, s: int) -> _Quotient:
+    """The twin quotient of fam's s-compatibility graph, in degree order."""
+    return _twin_quotient(CompatibilityGraph.build(fam, s).adj, fam.elems,
+                          partial(meet_rows, s=s))
 
 
 def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
@@ -434,15 +503,6 @@ class _Capped(Exception):
     decision pass found its clique."""
 
 
-def _holder_masks(sets: tuple[int, ...] | list[int]) -> list[int]:
-    """Per element, the member-index mask of the members containing it."""
-    holders = [0] * max((m.bit_length() for m in sets), default=0)
-    for i, mask in enumerate(sets):
-        for e in elems_of(mask):
-            holders[e] |= 1 << i
-    return holders
-
-
 class _Hook:
     """A per-node rule of a constrained clique search: step(state, v,
     cand) adds v to a clique whose hook state is state, with cand its
@@ -453,7 +513,7 @@ class _Hook:
 
     def __init__(self, graph: _Quotient, sets: tuple[int, ...]) -> None:
         self.sets = [reduce(and_, [sets[v] for v in cls]) for cls in graph.members]
-        self.holders = _holder_masks(self.sets)
+        self.holders = holder_masks([elems_of(mask) for mask in self.sets])
 
 
 class _NonStarHook(_Hook):
@@ -705,8 +765,10 @@ class _CliqueSearch:
         grow the clique past it is a node that leaves the candidates
         unsearched, and a clique at the ceiling gets no child."""
         adj, weight, hook = self.adj, self.weight, self.hook
-        order, bounds = _color_order(adj, cand) if weight is None \
-            else _weighted_color_order(adj, cand, weight)
+        # best only rises within a pass, so no position below this is branched on
+        floor = self.best - size + self._capped
+        order, bounds = _color_order(adj, cand, floor) if weight is None \
+            else _weighted_color_order(adj, cand, weight, floor)
         listed, ceiling = self._listed, self._ceiling
         start = cand
         for i in range(len(order) - 1, -1, -1):
@@ -910,7 +972,7 @@ def max_s_intersecting(fam: SetFamily, s: int,
     """Largest s-intersecting subfamily, with a lex-least witness."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    graph = _compat_quotient(fam, s)
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
                            group=_quotient_group(graph, fam))
     return _certified_maximum(search, seed=_star_seed(fam, s, graph))
@@ -921,7 +983,7 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     """All maximum s-intersecting subfamilies (capped), sorted."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    graph = _compat_quotient(fam, s)
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
                            group=_quotient_group(graph, fam))
     return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
@@ -942,7 +1004,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    graph = _twin_quotient(CompatibilityGraph.build(fam, s).adj)
+    graph = _compat_quotient(fam, s)
     search = _CliqueSearch(graph, _Budget(limits.node_budget),
                            _NonStarHook(graph, fam.sets, s), _quotient_group(graph, fam))
     if enumerate_optima:
@@ -1016,14 +1078,10 @@ class _HittingSearch:
 
     def __init__(self, sets: tuple[int, ...], budget: _Budget) -> None:
         self.sets = sorted(sets, key=lambda m: (m.bit_count(), m))
-        self.holders = _holder_masks(self.sets)
+        elems = [elems_of(mask) for mask in self.sets]
+        self.holders = holder_masks(elems)
         # meets[i]: the members sharing an element with member i, and i
-        self.meets = []
-        for mask in self.sets:
-            meet = 0
-            for e in elems_of(mask):
-                meet |= self.holders[e]
-            self.meets.append(meet)
+        self.meets = [row | 1 << i for i, row in enumerate(meet_rows(elems, self.holders, 1))]
         self.full = (1 << len(self.sets)) - 1
         self.budget = budget
         self.best = 0
@@ -1137,15 +1195,8 @@ def max_intersecting_sperner(fam: SetFamily,
     """Largest subfamily that is intersecting and an antichain; reports
     whether every optimum is uniform."""
     sets = fam.sets
-    m = len(sets)
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            meet = sets[i] & sets[j]
-            if meet and meet != sets[i] and meet != sets[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    graph = _twin_quotient(tuple(rows), by_degree=False)
+    graph = _twin_quotient(_sperner_rows(fam.elems, fam.holders), fam.elems, _sperner_rows,
+                           by_degree=False)
     budget = _Budget(limits.node_budget)
     search = _CliqueSearch(graph, budget, group=_quotient_group(graph, fam))
     value, clique, hit = search.maximum()

@@ -134,6 +134,42 @@ def bk_max_s_intersecting(fam: SetFamily, s: int) -> int:
     return bron_kerbosch_max(adj, m)
 
 
+def naive_compatibility_rows(fam: SetFamily, s: int) -> tuple[int, ...]:
+    """Pair loop: bit j of row i set when members i != j meet in at least
+    s elements."""
+    sets = fam.sets
+    return tuple(mask_of(j for j in range(len(sets))
+                         if j != i and (sets[i] & sets[j]).bit_count() >= s)
+                 for i in range(len(sets)))
+
+
+def naive_sperner_rows(fam: SetFamily) -> tuple[int, ...]:
+    """Pair loop: bit j of row i set when members i != j meet and neither
+    holds the other (equal members hold each other)."""
+    sets = fam.sets
+    return tuple(mask_of(j for j, b in enumerate(sets)
+                         if j != i and a & b and a & b != a and a & b != b)
+                 for i, a in enumerate(sets))
+
+
+def naive_twin_quotient(adj: tuple[int, ...],
+                        by_degree: bool) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The classes of equal closed neighbourhoods, ordered by descending
+    degree then least member (by_degree) or by least member, and each
+    class's row remapped bit by bit onto class indices, its own bit
+    dropped."""
+    m = len(adj)
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    members = [[u for u in range(m) if closed[u] == closed[v]]
+               for v in range(m) if min(u for u in range(m) if closed[u] == closed[v]) == v]
+    if by_degree:
+        members.sort(key=lambda cls: (-adj[cls[0]].bit_count(), cls[0]))
+    index = {v: q for q, cls in enumerate(members) for v in cls}
+    rows = tuple(mask_of(index[u] for u in _bits(adj[cls[0]]) if index[u] != q)
+                 for q, cls in enumerate(members))
+    return members, rows
+
+
 def naive_all_max_s_intersecting(fam: SetFamily, s: int,
                                  nonstar: bool = False) -> tuple[int, set[tuple[int, ...]]]:
     """All-subsets scan for the largest s-intersecting subfamilies: the

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ekrlab import campaign, graphs, verdicts
 from ekrlab.campaign import CampaignConfig, emit_report, parse_config, run_campaign
 from ekrlab.cli import main
 from ekrlab.families import parse_family
@@ -135,6 +136,44 @@ class TestRunCampaign:
             return rep
 
         assert strip(a) == strip(b)
+
+    @staticmethod
+    def _logged(monkeypatch):
+        """Log each instance graph built and each verdict made, in order."""
+        log = []
+
+        def make_graph(kind, **params):
+            log.append(("graph", params["n"]))
+            return graphs.make_graph(kind, **params)
+
+        def check_ekr(g, *args, **kwargs):
+            log.append(("verdict", g.meta["n"]))
+            return verdicts.check_ekr(g, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "make_graph", make_graph)
+        monkeypatch.setattr(campaign, "check_ekr", check_ekr)
+        return log
+
+    def test_instances_built_one_at_a_time(self, monkeypatch):
+        # graph i+1 is built only after the last verdict on graph i, so a
+        # graph and the families it keeps can go once its points are done
+        log = self._logged(monkeypatch)
+        report = run_campaign(CampaignConfig(kind="cycle", n=[6, 7, 8], s=[1, 2]))
+        assert (report["summary"]["points"], report["summary"]["skipped"]) == (6, 1)
+        assert log == [("graph", 6), ("verdict", 6),
+                       ("graph", 7), ("verdict", 7), ("verdict", 7),
+                       ("graph", 8), ("verdict", 8), ("verdict", 8), ("verdict", 8)]
+
+    @pytest.mark.parametrize("cfg", [
+        CampaignConfig(kind="wheel", n=[6]),
+        CampaignConfig(kind="sun", check="hm", n=[6], t=[1]),
+        CampaignConfig(kind="theta"),
+    ], ids=["unknown-kind", "hm-off-cycles", "theta-without-strands"])
+    def test_bad_config_raises_before_any_verdict(self, monkeypatch, cfg):
+        log = self._logged(monkeypatch)
+        with pytest.raises(ValueError):
+            run_campaign(cfg)
+        assert log == []
 
 
 class TestEmitReport:

@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from ekrlab.families import SetFamily, best_full_star, emit_family, \
-    full_star, is_exactly_s_intersecting, is_s_intersecting, is_s_star, is_sperner, \
+    full_star, holder_masks, is_exactly_s_intersecting, is_s_intersecting, is_s_star, is_sperner, \
     is_triangular, mask_of, parse_family, stats
 from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_r, enumerate_paths_upto, to_setfamily
@@ -20,6 +20,16 @@ def fano():
 def family(*sets, ground=None):
     g = ground if ground is not None else 1 + max((max(s) for s in sets if s), default=0)
     return SetFamily.from_vertex_sets(g, sets)
+
+
+class TestHolders:
+    def test_holder_masks(self):
+        # members 0 = {}, 1 = {0, 2}, 2 = {0, 2} (a duplicate), 3 = {1, 2};
+        # ground 6, but nothing holds 3..5, so holders stop at element 2
+        fam = SetFamily(ground=6, sets=(0, 0b101, 0b101, 0b110))
+        assert fam.holders == [0b0110, 0b1000, 0b1110]
+        assert fam.holders is fam.holders
+        assert holder_masks([]) == [] and holder_masks([()]) == []
 
 
 class TestIntersecting:

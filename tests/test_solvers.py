@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,6 +24,77 @@ def path_family(g, r):
 # the rotational families of the set-systems benchmark workload
 ROTATIONS = ((7, (0, 1, 3)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14)),
              (31, (1, 5, 11, 24, 25, 27)))
+
+
+@st.composite
+def build_families(draw) -> SetFamily:
+    """Families for the graph-build differentials: ground sizes up to 20,
+    empty members, members of at most three elements (so fewer than s at
+    larger s), arbitrary members and repeated ones; or a twin_family, whose
+    pendant copies are true twins."""
+    if draw(st.integers(0, 3)) == 0:
+        return helpers.twin_family(draw(st.integers(0, 10_000)))
+    ground = draw(st.integers(1, 20))
+    small = st.lists(st.integers(0, ground - 1), max_size=3).map(mask_of)
+    member = st.one_of(st.just(0), small, st.integers(0, (1 << ground) - 1))
+    sets = draw(st.lists(member, max_size=24))
+    if sets:
+        sets += [sets[i] for i in draw(st.lists(st.integers(0, len(sets) - 1), max_size=6))]
+    return SetFamily(ground=ground, sets=tuple(sorted(sets)))
+
+
+def _quotient_of(fam, relation, by_degree):
+    """The quotient of relation's rows over fam, as naive_twin_quotient
+    gives it: (classes, rows)."""
+    adj = relation(fam.elems, fam.holders)
+    graph = solvers._twin_quotient(adj, fam.elems, relation, by_degree)
+    return graph.members, graph.rows
+
+
+# the families and s of the dense-search benchmark workload, r None for all paths
+DENSE_SEARCH = {f"sun({n},{t})-r{r}-s{s}": (make_sun(n, t), r, s) for n, t, r, s in (
+    (10, 4, 5, 1), (11, 4, 5, 1), (12, 4, 5, 1), (14, 3, 7, 2), (16, 3, 8, 2),
+    (12, 3, 6, 1), (13, 3, 6, 1))}
+DENSE_SEARCH.update({"sun(8,1)-all-s1": (make_sun(8, 1), None, 1),
+                     "cycle(11)-all-s1": (make_cycle(11), None, 1)})
+
+
+class TestGraphBuild:
+    """Rows built from holder masks against the pair loops and the
+    bit-by-bit quotient remap they replace."""
+
+    SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+    @SETTINGS
+    @given(build_families(), st.sampled_from((1, 2, 3, 4)))
+    def test_compatibility_rows(self, fam, s):
+        graph = solvers.CompatibilityGraph.build(fam, s)
+        assert graph.m == len(fam)
+        assert graph.adj == helpers.naive_compatibility_rows(fam, s)
+
+    @SETTINGS
+    @given(build_families())
+    def test_sperner_rows(self, fam):
+        assert solvers._sperner_rows(fam.elems, fam.holders) == helpers.naive_sperner_rows(fam)
+
+    @SETTINGS
+    @given(build_families(), st.sampled_from((1, 2, 3, 4)), st.booleans())
+    def test_quotient_rows(self, fam, s, by_degree):
+        relation = partial(solvers.meet_rows, s=s)
+        adj = helpers.naive_compatibility_rows(fam, s)
+        assert _quotient_of(fam, relation, by_degree) == \
+            helpers.naive_twin_quotient(adj, by_degree)
+        adj = helpers.naive_sperner_rows(fam)
+        assert _quotient_of(fam, solvers._sperner_rows, by_degree) == \
+            helpers.naive_twin_quotient(adj, by_degree)
+
+    @pytest.mark.parametrize("g, r, s", DENSE_SEARCH.values(), ids=DENSE_SEARCH.keys())
+    def test_dense_search_families(self, g, r, s):
+        fam = verdicts.build_family(g, "uniform" if r else "all-paths", r)
+        adj = helpers.naive_compatibility_rows(fam, s)
+        assert solvers.CompatibilityGraph.build(fam, s).adj == adj
+        graph = solvers._compat_quotient(fam, s)
+        assert (graph.members, graph.rows) == helpers.naive_twin_quotient(adj, True)
 
 
 class TestMaxIntersecting:
@@ -698,7 +770,7 @@ class TestOrbitalBranching:
     @staticmethod
     def _listed(fam):
         """The group elements the s=1 clique search on fam lists."""
-        graph = solvers._twin_quotient(solvers.CompatibilityGraph.build(fam, 1).adj)
+        graph = solvers._compat_quotient(fam, 1)
         group = solvers._quotient_group(graph, fam)
         assert group
         return solvers._CliqueSearch(graph, solvers._Budget(0), group=group).elements
