@@ -727,8 +727,12 @@ class _CliqueSearch:
         With a group the pass branches on orbits and closes what it
         collects under the group.  Once that holds more than cap optima
         the list is a sample, and the group-free pass draws it from the
-        weight reached, so that no answer depends on the group."""
+        weight reached, so that no answer depends on the group.  held
+        keeps one clique of that weight from the closing pass, outside
+        the sample, for an overrun before the group-free pass finds its
+        first."""
         self._start(floor, [], cap, bool(self.gens))
+        self.held: Sequence[int] = ()
         if self.m == 0:
             return [()], False
         full = (1 << self.m) - 1
@@ -739,6 +743,7 @@ class _CliqueSearch:
             except _Capped:
                 self._closing = False
                 self._listed = ()
+                self.held = self.found[0]
                 self.found = []
         self._collect([], 0, full, self.hook.root, ())
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
@@ -922,21 +927,36 @@ def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | No
     return graph.contract(mask)
 
 
+def _cut(budget: _Budget, value: int, witness: tuple[int, ...],
+         value_exact: bool = False, **fields) -> SolveResult:
+    """The result of a search that the node budget cut short: the value
+    reached (exact only when proven before the cut) and the witness
+    held."""
+    return SolveResult(value=value, witness=witness, nodes=budget.used, limits_hit=True,
+                       value_exact=value_exact, **fields)
+
+
+def _certified(budget: _Budget, value: int, certify: Callable[[], tuple[int, ...]],
+               fallback: tuple[int, ...], limits_hit: bool = False,
+               **fields) -> SolveResult:
+    """The result of an exact value whose witness certify() certifies; an
+    overrun in the certification leaves the fallback witness."""
+    try:
+        witness = certify()
+    except _BudgetExceeded:
+        return _cut(budget, value, fallback, True, **fields)
+    return SolveResult(value=value, witness=witness, nodes=budget.used,
+                       limits_hit=limits_hit, **fields)
+
+
 def _certified_maximum(search: _CliqueSearch, seed: tuple[int, int] | None = None) -> SolveResult:
     """maximum() and then the lex-least certification of its value; on a
     budget overrun the best clique found so far is the witness."""
     value, clique, hit = search.maximum(seed)
-    budget = search.budget
-    partial = search.graph.expand(clique)
+    partial_witness = search.graph.expand(clique)
     if hit:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True, value_exact=False)
-    try:
-        witness = search.lex_least(value)
-    except _BudgetExceeded:
-        return SolveResult(value=value, witness=partial, nodes=budget.used,
-                           limits_hit=True)
-    return SolveResult(value=value, witness=witness, nodes=budget.used)
+        return _cut(search.budget, value, partial_witness)
+    return _certified(search.budget, value, partial(search.lex_least, value), partial_witness)
 
 
 def _enumerated(search: _CliqueSearch, floor: tuple[int, int], cap: int) -> SolveResult:
@@ -946,25 +966,25 @@ def _enumerated(search: _CliqueSearch, floor: tuple[int, int], cap: int) -> Solv
     try:
         optima, capped = search.enumerate_exact(floor[0], cap)
     except _BudgetExceeded:
-        best = search.found[0] if search.found else elems_of(floor[1])
-        return SolveResult(value=search.best, witness=graph.expand(best),
-                           nodes=budget.used, limits_hit=True, value_exact=False)
+        # the floor clique while it weighs best; past it, the clique held
+        # from the closing pass until the sample pass finds one
+        best = search.found[0] if search.found else \
+            elems_of(floor[1]) if search.best == floor[0] else search.held
+        return _cut(budget, search.best, graph.expand(best))
     if not capped:
         return SolveResult(value=search.best, witness=optima[0] if optima else (),
                            all_optima=tuple(optima), nodes=budget.used)
-    return SolveResult(value=search.best, witness=_sample_witness(search),
-                       all_optima=tuple(optima), nodes=budget.used, limits_hit=True)
+    return _certified_sample(search, optima)
 
 
-def _sample_witness(search: _CliqueSearch) -> tuple[int, ...]:
-    """The witness of a capped optima list, which is only a sample: the
-    certified lex-least optimum, or on a budget overrun the least
-    clique collected."""
-    collected = search.found  # the certification's decision passes reset it
-    try:
-        return search.lex_least(search.best)
-    except _BudgetExceeded:
-        return min(search.graph.expand(clique) for clique in collected)
+def _certified_sample(search: _CliqueSearch, optima: list[tuple[int, ...]]) -> SolveResult:
+    """A capped optima list is only a sample, so its witness is the
+    certified lex-least optimum; on an overrun, the least clique the
+    sample pass collected: the first cap of them are the sorted optima,
+    and one more passed the cap."""
+    fallback = min(optima[:1] + [search.graph.expand(search.found[-1])])
+    return _certified(search.budget, search.best, partial(search.lex_least, search.best),
+                      fallback, True, all_optima=tuple(optima))
 
 
 def max_s_intersecting(fam: SetFamily, s: int,
@@ -1039,14 +1059,8 @@ def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveRes
     try:
         search.minimum()
     except _BudgetExceeded:
-        return SolveResult(value=search.best, witness=search.best_set,
-                           nodes=budget.used, limits_hit=True, value_exact=False)
-    try:
-        witness = search.lex_least()
-    except _BudgetExceeded:
-        return SolveResult(value=search.best, witness=search.best_set,
-                           nodes=budget.used, limits_hit=True)
-    return SolveResult(value=search.best, witness=witness, nodes=budget.used)
+        return _cut(budget, search.best, search.best_set)
+    return _certified(budget, search.best, search.lex_least, search.best_set)
 
 
 def _degrees_fall_short(holders: list[int], unhit: int, k: int) -> bool:
@@ -1200,25 +1214,18 @@ def max_intersecting_sperner(fam: SetFamily,
     budget = _Budget(limits.node_budget)
     search = _CliqueSearch(graph, budget, group=_quotient_group(graph, fam))
     value, clique, hit = search.maximum()
+    partial_witness = graph.expand(clique)
     if hit:
-        return SolveResult(value=value, witness=graph.expand(clique),
-                           nodes=budget.used, limits_hit=True, value_exact=False)
+        return _cut(budget, value, partial_witness)
     try:
         optima, capped = search.enumerate_exact(value, limits.optima_cap)
     except _BudgetExceeded:
-        return SolveResult(value=value, witness=graph.expand(clique),
-                           nodes=budget.used, limits_hit=True)
-    uniform = None
+        return _cut(budget, value, partial_witness, True)
     if capped:
-        witness = _sample_witness(search)
-    else:
-        witness = optima[0] if optima else ()
-        uniform = all(
-            len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima
-        )
-    return SolveResult(value=value, witness=witness, all_optima=tuple(optima),
-                       nodes=budget.used, limits_hit=capped,
-                       uniform_optima=uniform)
+        return _certified_sample(search, optima)
+    uniform = all(len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima)
+    return SolveResult(value=value, witness=optima[0] if optima else (),
+                       all_optima=tuple(optima), nodes=budget.used, uniform_optima=uniform)
 
 
 def helly_triple_check(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | None]:

@@ -2,7 +2,8 @@
 
 A verdict pairs the exact solver value with the applicable oracle, the
 best full star, an all-optima structure classification, and the explicit
-construction when one exists.
+construction when one exists.  One function, _closed_form, holds each
+instance type's oracle and construction for check_ekr and check_hm.
 """
 
 from __future__ import annotations
@@ -136,30 +137,56 @@ def _sun_params(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def _dispatch_oracle(g: Graph, mode: str, size: int | None, s: int,
-                     sun_variant: str) -> OracleValue | None:
+def _closed_form(g: Graph, mode: str, size: int | None, s: int, fam: SetFamily,
+                 solved: SolveResult, star_size: int,
+                 sun_variant: str = "squared") -> tuple[OracleValue | None, bool | None]:
+    """(oracle, construction_ok) of the closed form that covers the
+    instance, one branch per instance type: uniform paths on a sun or
+    cycle, all paths of a sun or cycle at s = 1, uniform paths on a
+    theta at s = 1, and the non-star maximum on a cycle (mode
+    'nonstar').  (None, None) when none does.
+
+    The explicit extremal family is checked only when the oracle applies
+    and the value is exact: it must satisfy its claimed predicates and
+    match the search value (sun stars), the oracle (Hilton-Milner
+    families), or the best full star (the theta hub star).  Inside the
+    oracle's window no builder raises."""
     sun = _sun_params(g)
     if mode == "uniform" and sun is not None:
-        return oracles.sun_bound(*sun, size, s, variant=sun_variant)
-    if mode == "all-paths" and sun is not None:
-        if s != 1:
-            return None
+        oracle = oracles.sun_bound(*sun, size, s, variant=sun_variant)
+        check = lambda: _construction_ok(oracles.build_sun_star_family(*sun, size, s),
+                                         s, True, solved.value)
+    elif mode == "all-paths" and sun is not None and s == 1:
         n, t = sun
-        counts = oracles.sun_allpaths_counts(n, t)
-        return OracleValue(value=counts["hm"], applicable=True,
-                           condition=f"all paths of a sun [n={n} t={t}]",
-                           source="sun-allpaths-max")
-    if mode == "uniform" and g.kind == "theta" and s == 1:
+        oracle = OracleValue(value=oracles.sun_allpaths_counts(n, t)["hm"], applicable=True,
+                             condition=f"all paths of a sun [n={n} t={t}]",
+                             source="sun-allpaths-max")
+        check = lambda: _construction_ok(oracles.build_sun_hm_family(n, t),
+                                         1, False, oracle.value)
+    elif mode == "uniform" and g.kind == "theta" and s == 1:
         a = g.meta["a"]
-        if len(a) == 2 and sorted(a) == [1, 2]:
-            return OracleValue.out_of_range("theta(1,2) is the triangle",
-                                            "theta-hub-star")
-        probe = oracles.theta_f(len(a), a[0], size, a2=a[1])
-        if probe.applicable and size not in oracles.theta_window(a):
-            return OracleValue.out_of_range(
-                f"r={size} beyond (a1+a2+1)/2", probe.source)
-        return probe
-    return None
+        oracle = oracles.theta_f(len(a), a[0], size, a2=a[1])
+        if a == (1, 2):
+            oracle = OracleValue.out_of_range("theta(1,2) is the triangle", oracle.source)
+        elif oracle.applicable and size not in oracles.theta_window(a):
+            oracle = OracleValue.out_of_range(f"r={size} beyond (a1+a2+1)/2", oracle.source)
+        check = lambda: sum(1 for m in fam.sets if m & 1) == star_size
+    elif mode == "nonstar" and g.kind == "cycle":
+        n = g.meta["n"]
+        oracle = oracles.hm_cycle_size(n, size)
+        anchors = (0, size - 1, 2 * (size - 1) % n)
+        check = lambda: _construction_ok(oracles.build_cycle_hm_family(n, size, anchors),
+                                         1, False, oracle.value)
+    else:
+        return None, None
+    return oracle, check() if oracle.applicable and solved.value_exact else None
+
+
+def _construction_ok(built: SetFamily, s: int, star: bool, size: int) -> bool:
+    """Is the built family s-intersecting, an s-star exactly when it
+    claims to be, and of the given size?"""
+    return (is_s_intersecting(built, s) and is_s_star(built, s).is_star == star
+            and len(built) == size)
 
 
 def star_flags_of(fam: SetFamily, optima, s: int) -> list[bool]:
@@ -202,10 +229,8 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
                                             [fam.sets[i] for i in opt])
                        for opt in nonstars):
                     classification = "hm-structure"
-    oracle = _dispatch_oracle(g, mode, size, s, sun_variant)
-    construction_ok = None
-    if solved.value_exact:
-        construction_ok = _check_construction(g, mode, size, s, fam, solved, star_size)
+    oracle, construction_ok = _closed_form(g, mode, size, s, fam, solved, star_size,
+                                           sun_variant)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return Verdict(
         instance=_instance_tag(g, mode, size, s),
@@ -224,37 +249,6 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
     )
 
 
-def _check_construction(g: Graph, mode: str, size: int | None, s: int,
-                        fam: SetFamily, solved: SolveResult,
-                        star_size: int) -> bool | None:
-    """Verify the explicit extremal family for instances that have one:
-    it must satisfy its claimed predicates and match the exact brute
-    value."""
-    sun = _sun_params(g)
-    try:
-        if mode == "uniform" and sun is not None:
-            built = oracles.build_sun_star_family(*sun, size, s)
-            ok = is_s_intersecting(built, s)
-            ok &= is_s_star(built, s).is_star
-            ok &= len(built) == solved.value
-            return ok
-        if mode == "all-paths" and s == 1 and sun is not None:
-            built = oracles.build_sun_hm_family(*sun)
-            ok = is_s_intersecting(built, 1)
-            ok &= not is_s_star(built, 1).is_star
-            ok &= len(built) == oracles.sun_allpaths_counts(*sun)["hm"]
-            return ok
-        if g.kind == "theta" and mode == "uniform" and s == 1:
-            a = g.meta["a"]
-            if size not in oracles.theta_window(a):
-                return None
-            hub_star = sum(1 for m in fam.sets if m & 1)
-            return hub_star == star_size
-    except GraphError:
-        return None
-    return None
-
-
 def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Maximum non-star intersecting verdict on a cycle, with the
     two-of-three-anchors structure check on every optimum.  As in
@@ -268,24 +262,14 @@ def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     fam = build_family(g, "uniform", r)
     star_size, star_center = best_full_star(fam, 1)
     solved = max_nonstar_s_intersecting(fam, 1, limits, enumerate_optima=True)
-    oracle = oracles.hm_cycle_size(n, r)
     classification = "other"
-    construction_ok: bool | None = None
     if solved.limits_hit:
         classification = "unknown"
     elif not solved.infeasible and all(
             matches_hm_structure(n, r, [fam.sets[i] for i in opt])
             for opt in solved.all_optima):
         classification = "hm-structure"
-    if oracle.applicable and solved.value_exact:
-        anchors = (0, r - 1, 2 * (r - 1) % n)
-        try:
-            built = oracles.build_cycle_hm_family(n, r, anchors)
-            construction_ok = (is_s_intersecting(built, 1)
-                               and not is_s_star(built, 1).is_star
-                               and len(built) == oracle.value)
-        except GraphError:
-            construction_ok = False
+    oracle, construction_ok = _closed_form(g, "nonstar", r, 1, fam, solved, star_size)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return Verdict(
         instance=_instance_tag(g, "nonstar", r, 1),

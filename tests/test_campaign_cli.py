@@ -307,6 +307,17 @@ class TestCli:
         verdict = json.loads(out.read_text())
         assert verdict["brute_value"] == 3
 
+    def test_check_hm_overrun_keeps_its_optimum(self, tmp_path):
+        # the budget runs out in the group-free sample pass before its
+        # first clique; the optimum is still six r-windows
+        out = tmp_path / "v.json"
+        assert main(["check-hm", "--n", "12", "--r", "6", "--limit-nodes", "8",
+                     "--optima-cap", "0", "--out", str(out)]) == 3
+        verdict = json.loads(out.read_text())
+        assert verdict["brute_value"] == 6 and verdict["value_exact"] is False
+        optimum = verdict["witnesses"]["optimum"]
+        assert len(optimum) == 6 and all(len(window) == 6 for window in optimum)
+
     def test_pg_with_map(self, tmp_path):
         lines = tmp_path / "pg.txt"
         pmap = tmp_path / "map.txt"

@@ -526,6 +526,32 @@ class TestCertificationOverrun:
         assert not solve(fam, Limits(node_budget=budget - 1)).value_exact
 
 
+class TestOverrunWitness:
+    """Under every budget and cap the reported witness is a clique of the
+    reported value.  With the group, a capped enumeration hands over to
+    the group-free sample pass, and a budget overrun before that pass's
+    first clique must still report a clique of the weight reached, not
+    an empty or lighter one."""
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("solve, nonstar", [
+        (lambda f, lim: max_nonstar_s_intersecting(f, 1, lim, enumerate_optima=True), True),
+        (lambda f, lim: enumerate_maximum_s_intersecting(f, 1, lim), False),
+        (max_intersecting_sperner, False),
+    ], ids=["nonstar-enumeration", "enumeration", "sperner"])
+    def test_every_budget_and_cap(self, solve, nonstar, n):
+        fam = path_family(make_cycle(n), n // 2)
+        for budget in range(120):
+            for cap in (0, 1, 2, 5):
+                res = solve(fam, Limits(node_budget=budget, optima_cap=cap))
+                sub = SetFamily(ground=fam.ground,
+                                sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+                assert len(set(res.witness)) == len(res.witness) == res.value, (budget, cap)
+                assert is_s_intersecting(sub, 1), (budget, cap)
+                if nonstar and res.witness:
+                    assert not is_s_star(sub, 1).is_star, (budget, cap)
+
+
 class TestNonStar:
     def test_cycle_12_5(self):
         res = max_nonstar_s_intersecting(path_family(make_cycle(12), 5), 1)

@@ -228,6 +228,48 @@ class TestCheckHm:
             check_hm(make_sun(6, 1), 3)
 
 
+
+class TestClosedFormPairing:
+    """Each instance type's oracle comes with its own explicit extremal
+    family: construction_ok is True exactly where an applicable oracle
+    meets an exact value, and None everywhere else (no oracle, an oracle
+    out of its window, or a budget-cut value)."""
+
+    @staticmethod
+    def _verdicts(limits):
+        for g in (make_cycle(6), make_cycle(9), make_sun(6, 1), make_sun(7, 2)):
+            for variant in ("squared", "binomial"):
+                for s in (1, 2, 3):
+                    for r in range(1, min(g.n, g.meta["n"] + 2) + 1):
+                        yield check_ekr(g, "uniform", r, s, limits, variant)
+        for g in (make_cycle(5), make_sun(4, 1), make_theta((2, 3, 3)),
+                  make_random_tree(6, 1)):
+            for s in (1, 2):
+                yield check_ekr(g, "all-paths", None, s, limits)
+                yield check_ekr(g, "upto", 3, s, limits)
+        for a in ((1, 2), (2, 3, 3), (3, 3, 3, 3), (3, 4, 5), (2, 7, 7)):
+            g = make_theta(a)
+            for s in (1, 2):
+                for r in range(1, g.n + 1):
+                    yield check_ekr(g, "uniform", r, s, limits)
+        for n in range(6, 13):
+            for r in range(1, n + 1):
+                yield check_hm(make_cycle(n), r, limits)
+
+    @pytest.mark.parametrize("budget", [Limits().node_budget, 0])
+    def test_construction_exactly_where_the_oracle_applies(self, budget):
+        kinds = set()
+        for v in self._verdicts(Limits(node_budget=budget)):
+            applies = v.oracle is not None and v.oracle.applicable and v.value_exact
+            assert v.construction_ok is (True if applies else None), v.instance
+            if applies:
+                kinds.add((v.instance["kind"], v.instance["mode"]))
+        if budget:
+            # every branch met its construction
+            assert kinds == {("cycle", "uniform"), ("sun", "uniform"), ("cycle", "all-paths"),
+                             ("sun", "all-paths"), ("theta", "uniform"), ("cycle", "nonstar")}
+
+
 class TestHmStructureMatcher:
     def test_positive(self):
         from ekrlab.oracles import build_cycle_hm_family
