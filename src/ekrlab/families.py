@@ -6,7 +6,7 @@ Sets are Python ints used as bit masks over a ground set 0..ground-1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -61,6 +61,22 @@ class SetFamily:
     member_symmetry is derived from it: the same permutations acting on
     member indices, with the copies of a duplicated set mapped to the
     copies of its image in order, identities dropped.
+
+    swaps holds pairs of ground elements whose transposition also maps
+    the members onto themselves, e.g. two pendants of one sun cycle
+    vertex; each symmetry entry must map every pair to a pair, so the
+    swaps generate a normal subgroup of the whole group.  Kept apart from
+    symmetry, they let a search read a swap's stabiliser off directly.
+    member_swaps is derived from them: for each distinct pair that moves
+    a member, the indices of the members holding one element of the pair
+    but not the other and the indices of their images, copies mapped in
+    order as in member_symmetry (the images go back).  Neither plays a
+    part in equality.
+
+    members, when given, holds each member's elements ascending, in
+    member order, as a caller that built the members from them already
+    has them (a path's sorted vertices); elems then takes them instead of
+    reading them off the masks.  It is not kept as a field.
     """
 
     ground: int
@@ -70,25 +86,37 @@ class SetFamily:
     symmetry: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
     member_symmetry: tuple[tuple[int, ...], ...] = field(
         init=False, default=(), compare=False, repr=False)
+    swaps: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
+    member_swaps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, default=(), compare=False, repr=False)
+    members: InitVar[Sequence[tuple[int, ...]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, members: Sequence[tuple[int, ...]] | None) -> None:
         full = (1 << self.ground) - 1
         for s in self.sets:
             if s & ~full:
                 raise ValueError("set exceeds ground range")
         if list(self.sets) != sorted(self.sets):
             raise ValueError("sets must be sorted")
-        if self.symmetry:
-            object.__setattr__(self, "member_symmetry", self._member_permutations())
+        if members is not None:
+            # seeds the cached elems
+            self.__dict__["elems"] = tuple(members)
+        tables = self._member_permutations() if self.symmetry else []
+        if tables:
+            distinct = set(tables)
+            distinct.discard(tuple(range(len(self.sets))))
+            object.__setattr__(self, "member_symmetry", tuple(sorted(distinct)))
+        if self.swaps:
+            object.__setattr__(self, "member_swaps", self._member_swaps(tables))
 
-    def _member_permutations(self) -> tuple[tuple[int, ...], ...]:
-        """symmetry acting on member indices; a ValueError unless each
-        entry is a bijection of the ground set that maps the multiset of
-        members onto itself.  A stable sort of the members by image puts
-        the copies of a duplicated image in member order."""
+    def _member_permutations(self) -> list[tuple[int, ...]]:
+        """Each symmetry entry acting on member indices; a ValueError
+        unless each entry is a bijection of the ground set that maps the
+        multiset of members onto itself.  A stable sort of the members by
+        image puts the copies of a duplicated image in member order."""
         sets = list(self.sets)
         m = len(sets)
-        perms = set()
+        tables = []
         for perm in self.symmetry:
             if sorted(perm) != list(range(self.ground)):
                 raise ValueError("symmetry entry is not a permutation of the ground set")
@@ -97,9 +125,69 @@ class SetFamily:
             by_image = sorted(range(m), key=images.__getitem__)
             if list(map(images.__getitem__, by_image)) != sets:
                 raise ValueError("symmetry entry does not map the members onto themselves")
-            perms.add(tuple(sorted(range(m), key=by_image.__getitem__)))
-        perms.discard(tuple(range(m)))
-        return tuple(sorted(perms))
+            tables.append(tuple(sorted(range(m), key=by_image.__getitem__)))
+        return tables
+
+    def _member_swaps(self, tables: list[tuple[int, ...]]
+                      ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """swaps acting on member indices, one entry per distinct pair
+        that moves a member: the indices of the members holding one
+        element of the pair but not the other, and of their images.  A
+        swap is an involution, so the images go back, and every other
+        member stays.  A ValueError unless each entry is a pair of
+        distinct ground elements whose transposition maps the multiset of
+        members onto itself and every symmetry entry maps each pair to a
+        pair.
+
+        tables holds the symmetry entries acting on members.  A pair is
+        checked and mapped directly only when no earlier pair reaches it
+        by conjugation: perm maps the pair (a, b) to (perm[a], perm[b]),
+        and the swap of that pair acts on members as table, the swap of
+        (a, b), then table back, so its members and images are the
+        images under table of those of (a, b).  Checked directly: the
+        members are sorted, so the copies of a set are consecutive and
+        the k-th copy of a set maps to the k-th copy of its image; with
+        as many members on each side, that every image is such a copy
+        settles that the copies are counted."""
+        keys = list(dict.fromkeys((min(a, b), max(a, b)) for a, b in self.swaps))
+        for a, b in keys:
+            if not 0 <= a < b < self.ground:
+                raise ValueError("swap entry is not a pair of distinct ground elements")
+        known = set(keys)
+        sets = self.sets
+        m = len(sets)
+        first = dict(zip(reversed(sets), range(m - 1, -1, -1)))
+        holders = self.holders + [0] * (self.ground - len(self.holders))
+        moved: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for a, b in keys:
+            if (a, b) in moved:
+                continue
+            both = 1 << a | 1 << b
+            members = elems_of(holders[a] & ~holders[b])
+            images = []
+            for i in members:
+                image = sets[i] ^ both
+                j = first.get(image, m) + i - first[sets[i]]
+                if j >= m or sets[j] != image:
+                    raise ValueError("swap entry does not map the members onto themselves")
+                images.append(j)
+            if (holders[b] & ~holders[a]).bit_count() != len(members):
+                raise ValueError("swap entry does not map the members onto themselves")
+            moved[a, b] = members, tuple(images)
+            # every pair meets every symmetry entry once on this walk
+            queue = [(a, b)]
+            for x, y in queue:
+                for perm, table in zip(self.symmetry, tables):
+                    u, v = perm[x], perm[y]
+                    key = (u, v) if u < v else (v, u)
+                    if key not in moved:
+                        if key not in known:
+                            raise ValueError("symmetry entry does not map the swaps onto swaps")
+                        sources, targets = moved[x, y]
+                        moved[key] = (tuple(map(table.__getitem__, sources)),
+                                      tuple(map(table.__getitem__, targets)))
+                        queue.append(key)
+        return tuple(moved[key] for key in keys if moved[key][0])
 
     @classmethod
     def from_masks(cls, ground: int, masks: Iterable[int], name: str = "") -> "SetFamily":

@@ -210,8 +210,10 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     vertex permutations (perm[v] is the image of v).
 
     cycle: rotation by one and reflection.  sun: rotation by one cycle
-    step and reflection of the cycle positions, pendant index kept.
-    theta: the hub swap, which reverses every strand, and the
+    step and reflection of the cycle positions, pendant index kept; the
+    rest of a sun's group, the swaps of pendants at one cycle vertex,
+    comes from pendant_swaps, since a search reads their stabilisers off
+    directly.  theta: the hub swap, which reverses every strand, and the
     transposition of each adjacent pair of equal strands.  Trees and
     custom graphs get none."""
     if g.kind == "cycle":
@@ -240,6 +242,20 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
                 gens.append(tuple(perm))
         return tuple(gens)
     return ()
+
+
+def pendant_swaps(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs whose transposition is an automorphism that only
+    swaps two pendants of one sun cycle vertex: v_i^j and v_i^j+1 for
+    every cycle vertex i and 1 <= j < t, n(t-1) pairs.  They generate the
+    normal subgroup S_t^n of the sun's group S_t wr D_n (the rotation and
+    reflection of automorphism_generators permute the pairs), which the
+    dihedral part completes.  Other graphs get none."""
+    if g.kind != "sun":
+        return ()
+    n, t = g.meta["n"], g.meta["t"]
+    return tuple((sun_vertex(i, j, t), sun_vertex(i, j + 1, t))
+                 for i in range(n) for j in range(1, t))
 
 
 def girth(g: Graph) -> int | float:

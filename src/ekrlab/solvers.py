@@ -61,31 +61,53 @@ branching on v, v's whole orbit leaves the candidates, since an optimum
 through any vertex of it has an image through v, and the child searches
 under v's stabiliser, whose generators come from Schreier's lemma.
 
+Sun families also carry their pendant swaps (SetFamily.swaps): the
+transpositions of two pendants of one cycle vertex, which with the
+dihedral part generate the whole group S_t wr D_n, of order
+(t!)^n * 2n.  Each becomes a permutation of quotient vertices; a swap of
+twins acts trivially and is dropped (every pendant swap at s = 1, where
+paths that differ in an end pendant are twins).  A node's orbits are
+taken under its generators and its swaps together, and its child keeps
+the swaps that fix the vertex branched on, one AND with a mask of the
+swaps that move that vertex.  They generate a subgroup of its
+stabiliser, not always all of it, and orbital branching is sound under
+any subgroup of the stabiliser (Ostrowski, Linderoth, Rossi and
+Smriglio, Orbital branching, 2011).  Swaps never enter Schreier's lemma
+or the listing below, so a sun's listed group stays its dihedral part.
+
 Once the stabiliser is trivial, orbital branching would find images of
-cliques it already holds.  So the search also lists the group, when its
-order is at most m^2 for m quotient vertices (every dihedral group of a
-cycle or sun and small theta groups such as theta(3,3,3,3)'s, of order
-48; theta((2,)*7)'s, of order 10,080, is not listed), and skips a
-candidate below the root when some element maps the branch to one
-already searched (symmetry breaking by dominance, SBDS): with the
-branch p_1..p_k and U_j the vertices the nodes on p_1..p_j were done
-with (branched, orbit-skipped or skipped this way) when the path went
-on, v is skipped when some listed g and j <= k have p_1..p_j in
-g(p_1..p_k, v) and g(p_1..p_k, v) meeting U_j.
-Every clique through p_1..p_j and a vertex of U_j has an image that an
-earlier branch collected, or proved lighter than best, under a threshold
-no higher than the current one, so every clique through the skipped
-branch does too.  That holds with the hooks, which the group preserves,
-and in a maximum search, which keeps no ties.
+cliques it already holds.  So the search also lists the group its
+generators generate, when its order is at most m^2 for m quotient
+vertices (every dihedral group of a cycle or sun and small theta groups
+such as theta(3,3,3,3)'s, of order 48; theta((2,)*7)'s, of order 10,080,
+is not listed), and skips a candidate below the root when some element
+maps the branch to one already searched (symmetry breaking by dominance,
+SBDS): with the branch p_1..p_k and U_j the vertices the nodes on
+p_1..p_j were done with (branched, orbit-skipped or skipped this way)
+when the path went on, v is skipped when some listed g and j <= k have
+p_1..p_j in g(p_1..p_k, v) and g(p_1..p_k, v) meeting U_j.
+Every clique through p_1..p_j and a vertex of U_j has an image, under
+the whole group, that an earlier branch collected, or proved lighter
+than best, under a threshold no higher than the current one: a vertex
+of U_j was branched on, or skipped as the image of one under an
+automorphism that fixes p_1..p_j (a listed element or a product of the
+node's generators and swaps), or skipped this way.  So every clique
+through the skipped branch has such an image too.  That holds with the
+hooks, which the group and the swaps preserve, and in a maximum search,
+which keeps no ties.  The root removes whole orbits under its
+generators and swaps, which are unions of orbits of the listed group,
+so U_0 is one too, as the check needs.
 
 A maximum found that way is a maximum.  An enumeration adds all images
-of each clique it collects, under each listed element (or, with the
-group unlisted, by a closure under the generators), so it still lists
-every optimum, and the optima cap still counts optima; a capped list is
-a sample drawn by the group-free pass, so no answer depends on the
-group.  The certification pass stays symmetry-free, so witnesses are
-unchanged.  A node is one branched vertex: the vertices skipped as orbit
-images or by the dominance check are not counted.
+of each clique it collects under the whole group: a breadth-first
+closure under the swaps (and the generators too, with the group
+unlisted), then each listed element once on each of those images, which
+reaches every image because the swaps generate a normal subgroup.  So it
+still lists every optimum, and the optima cap still counts optima; a
+capped list is a sample drawn by the group-free pass, so no answer
+depends on the group.  The certification pass stays symmetry-free, so
+witnesses are unchanged.  A node is one branched vertex: the vertices
+skipped as orbit images or by the dominance check are not counted.
 
 Transversals use one hitting-set decision routine ("can k elements of
 an allowed set hit every uncovered member?") for both the minimum and
@@ -111,6 +133,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_
+from typing import NamedTuple
 
 from .families import SetFamily, best_full_star, elems_of, holder_masks
 
@@ -386,6 +409,51 @@ def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
     return tuple(sorted(bytes(g) + _BYTE_IDENTITY[len(g):] for g in gens))
 
 
+class _Swaps(NamedTuple):
+    """A family's swaps acting on quotient vertices (_quotient_swaps):
+    tables[k] permutes the quotient vertices as swap k does; per quotient
+    vertex q, moves[q] masks the swaps that move q (bit k for swap k) and
+    images[q] lists (bit, image of q) for each of them."""
+
+    tables: tuple[Perm, ...]
+    moves: list[int]
+    images: list[list[tuple[int, int]]]
+
+
+_NO_SWAPS = _Swaps((), [], [])
+
+
+def _quotient_swaps(graph: _Quotient, fam: SetFamily) -> _Swaps:
+    """The family's member swaps acting on quotient vertices, those that
+    move some quotient vertex.  A swap of twins acts trivially (every
+    pendant swap at s = 1) and is dropped; each costs only the members
+    it moves."""
+    if not fam.member_swaps:
+        return _NO_SWAPS
+    pos = graph.pos
+    m = len(graph.members)
+    tables: list[Perm] = []
+    moves = [0] * m
+    images: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for members, member_images in fam.member_swaps:
+        sources = list(map(pos.__getitem__, members))
+        targets = list(map(pos.__getitem__, member_images))
+        if sources == targets:
+            continue
+        bit = 1 << len(tables)
+        table = bytearray(_BYTE_IDENTITY) if m <= 256 else list(range(m))
+        for q, image in zip(sources, targets):
+            if q != image:
+                # a swap is an involution: q and its image trade places
+                table[q], table[image] = image, q
+                moves[q] |= bit
+                moves[image] |= bit
+                images[q].append((bit, image))
+                images[image].append((bit, q))
+        tables.append(bytes(table) if m <= 256 else tuple(table))
+    return _Swaps(tuple(tables), moves, images) if tables else _NO_SWAPS
+
+
 # A permutation of range(m) as a lookup table, perm[x] the image of x: for
 # m <= 256 a 256-byte table (identity past m), which bytes.translate
 # composes in one call; otherwise a tuple.
@@ -408,8 +476,12 @@ def _inverse(perm: Perm) -> Perm:
     return tuple(inverse)
 
 
-def _orbit(gens: tuple[Perm, ...], v: int) -> int:
-    """v's orbit under the group generated by gens, as a mask."""
+def _orbit(gens: tuple[Perm, ...], v: int, swaps: int = 0,
+           images: list[list[tuple[int, int]]] | None = None) -> int:
+    """v's orbit under the group generated by gens and the swaps whose
+    bits the mask swaps holds, as a mask; images[u] lists (bit, image of
+    u) for the swaps that move u (_Swaps.images), so only those are
+    tried at u."""
     orbit = 1 << v
     queue = [v]
     for u in queue:
@@ -418,6 +490,11 @@ def _orbit(gens: tuple[Perm, ...], v: int) -> int:
             if not (orbit >> w) & 1:
                 orbit |= 1 << w
                 queue.append(w)
+        if swaps:
+            for bit, w in images[u]:
+                if swaps & bit and not (orbit >> w) & 1:
+                    orbit |= 1 << w
+                    queue.append(w)
     return orbit
 
 
@@ -582,19 +659,22 @@ class _CliqueSearch:
     and counts every clique); the coloring bound stays valid for those.
     group holds generators of automorphisms of the quotient that keep
     the hook's verdicts; elements lists the group they generate without
-    the identity, or is () when its order passes m^2.
+    the identity, or is () when its order passes m^2.  swaps holds more
+    such automorphisms (_Swaps): they generate a normal subgroup of the
+    whole group, and are never listed.
 
     One recursive loop, _collect, branches for maximum(),
     enumerate_exact() and the decision passes of lex_least().  _collect
-    carries the hook's state and the generators of the group in
-    force at the node: while there are any it branches on orbits, and a
-    node whose group is trivial gets ().  With the group listed it also
-    runs the dominance check (_dominating) at every candidate below the
-    root, in every pass but the group-free one that draws a capped
-    sample.  A node is one branched vertex."""
+    carries the hook's state, the generators of the group in force at
+    the node and the mask of its swaps: while there are any it branches
+    on orbits, and a node whose group is trivial gets () and 0.  With
+    the group listed it also runs the dominance check (_dominating) at
+    every candidate below the root, in every pass but the group-free
+    one that draws a capped sample.  A node is one branched vertex."""
 
     def __init__(self, graph: _Quotient, budget: _Budget,
-                 hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = ()) -> None:
+                 hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = (),
+                 swaps: _Swaps = _NO_SWAPS) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
@@ -603,6 +683,8 @@ class _CliqueSearch:
         self.hook = hook
         self.gens = group
         self.elements = _list_group(group, self.m)
+        self.swap_tables, self.moves, self.swap_images = swaps
+        self.swaps = (1 << len(self.swap_tables)) - 1
 
     def _start(self, best: int, found: list, cap: int, closing: bool) -> None:
         """Set up a collecting pass: threshold best, the cliques of that
@@ -631,7 +713,7 @@ class _CliqueSearch:
         weight, mask = self._greedy_seed(seed)
         self._start(weight, [elems_of(mask)], 0, False)
         try:
-            self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens)
+            self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens, self.swaps)
         except _BudgetExceeded:
             return self.best, self.found[0], True
         return self.best, self.found[0], False
@@ -706,7 +788,7 @@ class _CliqueSearch:
         self._listed = ()
         self._ceiling = size
         try:
-            self._collect(stack, weight, cand, state, ())
+            self._collect(stack, weight, cand, state, (), 0)
         except _Capped:
             return True
         return False
@@ -731,33 +813,38 @@ class _CliqueSearch:
         keeps one clique of that weight from the closing pass, outside
         the sample, for an overrun before the group-free pass finds its
         first."""
-        self._start(floor, [], cap, bool(self.gens))
+        self._start(floor, [], cap, bool(self.gens or self.swaps))
         self.held: Sequence[int] = ()
         if self.m == 0:
             return [()], False
         full = (1 << self.m) - 1
         if self._closing:
             try:
-                self._collect([], 0, full, self.hook.root, self.gens)
+                self._collect([], 0, full, self.hook.root, self.gens, self.swaps)
                 return sorted(self.graph.expand(c) for c in self.found), False
             except _Capped:
                 self._closing = False
                 self._listed = ()
                 self.held = self.found[0]
                 self.found = []
-        self._collect([], 0, full, self.hook.root, ())
+        self._collect([], 0, full, self.hook.root, (), 0)
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
-                 gens: tuple[Perm, ...], lead: list[_Lead] | None = None) -> None:
+                 gens: tuple[Perm, ...], swaps: int,
+                 lead: list[_Lead] | None = None) -> None:
         """Every clique search: branch on the candidates in reverse
         coloring order, pruned by the coloring bound against best, and
         hand each clique that counts to _record; the hook trims each
-        child's candidates.  With gens (the group they generate fixes
-        the clique on stack and maps cand onto itself) it branches on
-        orbits: an optimum through any vertex of v's orbit has an image
-        through v, so after v its whole orbit leaves the candidates, and
-        the child searches under v's stabiliser, () once trivial.
+        child's candidates.  With gens or swaps (a mask of swap indices;
+        the group they generate fixes the clique on stack and maps cand
+        onto itself) it branches on orbits: an optimum through any vertex
+        of v's orbit has an image through v, so after v its whole orbit
+        leaves the candidates, and the child searches under a subgroup of
+        v's stabiliser: the Schreier generators of gens' stabiliser (()
+        once trivial) and the swaps that fix v, which moves[v] gives in
+        one AND.  Orbital branching is sound under any subgroup of the
+        stabiliser.
 
         With the group listed, a candidate below the root whose clique
         has an image in a searched branch (see _dominating) is skipped
@@ -775,6 +862,8 @@ class _CliqueSearch:
         order, bounds = _color_order(adj, cand, floor) if weight is None \
             else _weighted_color_order(adj, cand, weight, floor)
         listed, ceiling = self._listed, self._ceiling
+        moves, images = self.moves, self.swap_images
+        symmetric = gens or swaps
         start = cand
         for i in range(len(order) - 1, -1, -1):
             reach = size + bounds[i]
@@ -788,12 +877,12 @@ class _CliqueSearch:
                 done = self._done[-1] | (start & ~cand)
                 child_lead = self._dominating(stack, v, lead, done)
                 if child_lead is None:
-                    cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+                    cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
                     continue
             self.budget.spend()
             grown = size + (1 if weight is None else weight[v])
             if grown > ceiling:
-                cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+                cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
                 continue
             stack.append(v)
             nxt, inner, counts = hook.step(state, v, cand & adj[v])
@@ -801,14 +890,15 @@ class _CliqueSearch:
                 self._record(stack, grown)
             if nxt and grown < ceiling:
                 stab = _stabilizer(gens, v) if gens else ()
+                kept = swaps & ~moves[v] if swaps else 0
                 if listed:
                     self._done.append(done)
-                    self._collect(stack, grown, nxt, inner, stab, child_lead)
+                    self._collect(stack, grown, nxt, inner, stab, kept, child_lead)
                     self._done.pop()
                 else:
-                    self._collect(stack, grown, nxt, inner, stab)
+                    self._collect(stack, grown, nxt, inner, stab, kept)
             stack.pop()
-            cand &= ~_orbit(gens, v) if gens else ~(1 << v)
+            cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
 
     def _dominating(self, stack: list[int], v: int, lead: list[_Lead] | None,
                     done: int) -> list[_Lead] | None:
@@ -884,16 +974,19 @@ class _CliqueSearch:
                 self._capped = True
 
     def _close(self, stack: list[int]) -> None:
-        """Add the clique on stack and its images under the group to
-        found, unless an earlier clique's images hold it; _Capped once
-        more than cap are held.  With the group listed the images are
-        those under each element; otherwise a breadth-first closure
-        under the generators.  found holds them ascending, as bytes when
-        the group's tables are bytes (translate maps them).  A decision
-        pass (cap 0) stops at its first clique, before any image."""
+        """Add the clique on stack and its images under the whole group
+        to found, unless an earlier clique's images hold it; _Capped once
+        more than cap are held.  First a breadth-first closure under the
+        swaps (and the generators too, with the group unlisted); the
+        swaps generate a normal subgroup, so each listed element applied
+        once to each of those images then gives the rest.  found holds
+        them ascending, as bytes when the tables are bytes (translate
+        maps them).  A decision pass (cap 0) stops at its first clique,
+        before any image."""
         seen, found, cap = self._seen, self.found, self._cap
-        perms = self.elements or self.gens
-        as_seq = bytes if perms and type(perms[0]) is bytes else tuple
+        listed = self.elements
+        perms = self.swap_tables if listed else self.swap_tables + self.gens
+        as_seq = bytes if (listed or perms) and self.m <= 256 else tuple
         clique = as_seq(sorted(stack))
         if clique in seen:
             return
@@ -902,16 +995,25 @@ class _CliqueSearch:
         if len(found) > cap:
             raise _Capped
         queue = [clique]
-        for c in queue:
-            for g in perms:
-                image = as_seq(sorted(_compose(g, c)))
-                if image not in seen:
-                    seen.add(image)
-                    found.append(image)
-                    if not self.elements:
-                        queue.append(image)
-            if len(found) > cap:
-                raise _Capped
+        for perms, grow in ((perms, True), (listed, False)):
+            for c in queue:
+                for g in perms:
+                    image = as_seq(sorted(_compose(g, c)))
+                    if image not in seen:
+                        seen.add(image)
+                        found.append(image)
+                        if grow:
+                            queue.append(image)
+                if len(found) > cap:
+                    raise _Capped
+
+
+def _search(graph: _Quotient, fam: SetFamily, limits: Limits,
+            hook: _Hook | _PlainHook = _PLAIN) -> _CliqueSearch:
+    """A clique search on graph, a quotient of fam's members, with the
+    node budget of limits and fam's symmetry and swaps."""
+    return _CliqueSearch(graph, _Budget(limits.node_budget), hook,
+                         _quotient_group(graph, fam), _quotient_swaps(graph, fam))
 
 
 def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:
@@ -993,8 +1095,7 @@ def max_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           group=_quotient_group(graph, fam))
+    search = _search(graph, fam, limits)
     return _certified_maximum(search, seed=_star_seed(fam, s, graph))
 
 
@@ -1004,8 +1105,7 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           group=_quotient_group(graph, fam))
+    search = _search(graph, fam, limits)
     return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
                        limits.optima_cap)
 
@@ -1025,8 +1125,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           _NonStarHook(graph, fam.sets, s), _quotient_group(graph, fam))
+    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s))
     if enumerate_optima:
         res = _enumerated(search, (0, 0), limits.optima_cap)
     else:
@@ -1199,8 +1298,7 @@ def max_triangular_intersecting(fam: SetFamily, s: int = 1,
     adj = CompatibilityGraph.build(fam, s).adj
     graph = _Quotient(adj, [[v] for v in range(len(adj))],
                       [row.bit_count() for row in adj])
-    search = _CliqueSearch(graph, _Budget(limits.node_budget),
-                           _DegreeCapHook(graph, fam.sets), _quotient_group(graph, fam))
+    search = _search(graph, fam, limits, _DegreeCapHook(graph, fam.sets))
     return _certified_maximum(search)
 
 
@@ -1211,8 +1309,8 @@ def max_intersecting_sperner(fam: SetFamily,
     sets = fam.sets
     graph = _twin_quotient(_sperner_rows(fam.elems, fam.holders), fam.elems, _sperner_rows,
                            by_degree=False)
-    budget = _Budget(limits.node_budget)
-    search = _CliqueSearch(graph, budget, group=_quotient_group(graph, fam))
+    search = _search(graph, fam, limits)
+    budget = search.budget
     value, clique, hit = search.maximum()
     partial_witness = graph.expand(clique)
     if hit:

@@ -184,9 +184,10 @@ def _closed_form(g: Graph, mode: str, size: int | None, s: int, fam: SetFamily,
 
 def _construction_ok(built: SetFamily, s: int, star: bool, size: int) -> bool:
     """Is the built family s-intersecting, an s-star exactly when it
-    claims to be, and of the given size?"""
-    return (is_s_intersecting(built, s) and is_s_star(built, s).is_star == star
-            and len(built) == size)
+    claims to be, and of the given size?  An s-star is s-intersecting,
+    so only a non-star needs the pair test."""
+    is_star = is_s_star(built, s).is_star
+    return is_star == star and len(built) == size and (is_star or is_s_intersecting(built, s))
 
 
 def star_flags_of(fam: SetFamily, optima, s: int) -> list[bool]:

@@ -6,7 +6,8 @@ import helpers
 from ekrlab.families import SetFamily, best_full_star, emit_family, \
     full_star, holder_masks, is_exactly_s_intersecting, is_s_intersecting, is_s_star, is_sperner, \
     is_triangular, mask_of, parse_family, stats
-from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta
+from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta, \
+    pendant_swaps
 from ekrlab.paths import enumerate_paths_r, enumerate_paths_upto, to_setfamily
 from ekrlab.projective import build_pg, make_field, rotational_family, triangular_char2, \
     triangular_odd
@@ -223,3 +224,85 @@ class TestSymmetry:
         assert fano.symmetry and fano.member_symmetry
         fam = rotational_family(7, (0, 1, 3))
         assert fam.symmetry == ((1, 2, 3, 4, 5, 6, 0),) and fam.member_symmetry
+
+
+class TestSwaps:
+    def test_sun_families_carry_their_pendant_swaps(self):
+        # sun(4,3): three pendants at each of four cycle vertices, so
+        # n(t-1) = 8 swaps, each moving the paths that end at one of its
+        # two pendants to those that end at the other
+        g = make_sun(4, 3)
+        fam = to_setfamily(enumerate_paths_r(g, 3))
+        assert fam.swaps == pendant_swaps(g) and len(fam.swaps) == 8
+        assert fam.swaps[0] == (1, 2) and len(fam.member_swaps) == 8
+        for (a, b), (members, images) in zip(fam.swaps, fam.member_swaps):
+            both = 1 << a | 1 << b
+            assert members and len(members) == len(images)
+            for i, j in zip(members, images):
+                assert fam.sets[j] == fam.sets[i] ^ both and (fam.sets[i] & both).bit_count() == 1
+            # every member holding one of the pair but not the other is
+            # on one side or the other
+            assert sorted(members + images) == \
+                [i for i, mask in enumerate(fam.sets) if (mask & both).bit_count() == 1]
+        # one pendant per vertex, or none: nothing to swap
+        for t in (0, 1):
+            assert to_setfamily(enumerate_paths_r(make_sun(5, t), 3)).swaps == ()
+        assert to_setfamily(enumerate_paths_r(make_cycle(6), 3)).swaps == ()
+
+    def test_member_swaps(self):
+        # {0,2} <-> {1,2}; {0,1} holds both, so it stays
+        fam = SetFamily(ground=3, sets=(0b011, 0b101, 0b110), swaps=((0, 1),))
+        assert fam.member_swaps == (((1,), (2,)),)
+        assert SetFamily(ground=3, sets=(0b011, 0b100), swaps=((0, 1),)).member_swaps == ()
+        # a repeated pair, in either order, acts once
+        assert replace(fam, swaps=((0, 1), (1, 0))).member_swaps == fam.member_swaps
+
+    def test_a_pair_that_moves_a_member_off_the_family_raises(self):
+        fam = replace(to_setfamily(enumerate_paths_r(make_sun(4, 3), 3)), symmetry=())
+        # a cycle vertex and one of its pendants: 1-0-4 would go to 0-1-4
+        with pytest.raises(ValueError, match="onto themselves"):
+            replace(fam, swaps=((0, 1),))
+        for pair in ((1, 1), (1, 16), (-1, 1)):
+            with pytest.raises(ValueError, match="distinct ground elements"):
+                replace(fam, swaps=(pair,))
+
+    def test_the_symmetry_must_map_swaps_to_swaps(self):
+        # the rotation takes the swaps at cycle vertex 0 to those at 1, so
+        # the swaps of one vertex alone do not generate a normal subgroup
+        fam = to_setfamily(enumerate_paths_r(make_sun(4, 3), 3))
+        with pytest.raises(ValueError, match="onto swaps"):
+            replace(fam, swaps=fam.swaps[:2])
+        assert replace(fam, symmetry=(), swaps=fam.swaps[:2]).member_swaps
+
+    def test_conjugate_swaps_match_the_direct_ones(self):
+        # a swap that the symmetry reaches from an earlier one is mapped
+        # through the member tables, not checked directly; both ways agree
+        for n, t, r in ((4, 3, 3), (5, 2, 4), (3, 2, 4), (6, 3, 2)):
+            fam = to_setfamily(enumerate_paths_r(make_sun(n, t), r))
+            direct = replace(fam, symmetry=())
+            assert [tuple(sorted(zip(*side))) for side in fam.member_swaps] == \
+                [tuple(sorted(zip(*side))) for side in direct.member_swaps], (n, t, r)
+
+    def test_duplicates_are_matched_copy_by_copy(self):
+        # the k-th copy of a set goes to the k-th copy of its image
+        fam = SetFamily(ground=2, sets=(0b01, 0b01, 0b10, 0b10), swaps=((0, 1),))
+        assert fam.member_swaps == (((0, 1), (2, 3)),)
+        with pytest.raises(ValueError, match="onto themselves"):
+            SetFamily(ground=2, sets=(0b01, 0b01, 0b10), swaps=((0, 1),))
+        with pytest.raises(ValueError, match="onto themselves"):
+            SetFamily(ground=2, sets=(0b01, 0b10, 0b10), swaps=((0, 1),))
+        # sun(3,2) r=4: each triangle with a pendant is two paths, and
+        # copies keep their order on either side
+        fam = to_setfamily(enumerate_paths_r(make_sun(3, 2), 4))
+        assert fam.note and fam.member_swaps
+        for members, images in fam.member_swaps:
+            pairs = dict(zip(members, images))
+            for i, j in pairs.items():
+                if i + 1 in pairs and fam.sets[i + 1] == fam.sets[i]:
+                    assert pairs[i + 1] == j + 1
+
+    def test_swaps_play_no_part_in_equality(self):
+        fam = to_setfamily(enumerate_paths_r(make_sun(4, 2), 3))
+        plain = replace(fam, symmetry=(), swaps=())
+        assert fam.swaps and fam == plain and hash(fam) == hash(plain)
+        assert plain.member_swaps == ()

@@ -8,10 +8,15 @@ of optima.  Half of the families are symmetric: closed under a rotation
 of the ground set, or under the rotation and the reflection e -> -e
 (the dihedral group), and carrying those permutations as their
 symmetry, so the searches also branch on orbits, skip branches whose
-image was searched and close their optima under the group.  A last
-property relabels the ground set and checks that no value and no optimum
-changes.  derandomize keeps every run on the same examples.
+image was searched and close their optima under the group.  Families
+closed under antipodal transpositions as well carry them as swaps, and
+every clique solver must answer on them as it does with no symmetry at
+all.  A last property relabels the ground set and checks that no value
+and no optimum changes.  derandomize keeps every run on the same
+examples.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -45,17 +50,50 @@ def families(draw) -> SetFamily:
     symmetry = [tuple((e + 1) % ground for e in range(ground))]
     if draw(st.booleans()):
         symmetry.append(tuple(-e % ground for e in range(ground)))
-    # whole orbits under the group, while they fit
+    sets = _orbits(draw(st.lists(member, min_size=1, max_size=4)), symmetry)
+    return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=tuple(symmetry))
+
+
+def _orbits(seeds, perms) -> list[int]:
+    """Whole orbits of the seed masks under perms, while they fit."""
     sets: list[int] = []
-    for seed in draw(st.lists(member, min_size=1, max_size=4)):
+    for seed in seeds:
         orbit = [seed]
         for mask in orbit:
-            for perm in symmetry:
+            for perm in perms:
                 if (image := _permute(mask, perm)) not in orbit:
                     orbit.append(image)
         if len(sets) + len(orbit) <= MAX_MEMBERS:
             sets += orbit
-    return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=tuple(symmetry))
+    return sets
+
+
+@st.composite
+def swapped_families(draw) -> SetFamily:
+    """A family on an even ground set closed under the antipodal
+    transpositions e <-> e + ground/2, carried as its swaps, and under
+    the rotation, carried as its symmetry or dropped; the rotation maps
+    each antipodal pair to another, so the swaps generate a normal
+    subgroup."""
+    half = draw(st.integers(1, MAX_GROUND // 2))
+    ground = 2 * half
+    rotation = tuple((e + 1) % ground for e in range(ground))
+    swaps = tuple((e, e + half) for e in range(half))
+    transpositions = [tuple(b if e == a else a if e == b else e for e in range(ground))
+                      for a, b in swaps]
+    member = st.integers(0, (1 << ground) - 1)
+    sets = _orbits(draw(st.lists(member, min_size=1, max_size=4)),
+                   [rotation] + transpositions)
+    symmetry = (rotation,) if draw(st.booleans()) else ()
+    return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=symmetry, swaps=swaps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(swapped_families())
+def test_swaps_do_not_change_answers(fam):
+    # every clique solver at s = 1..3, the enumerations also capped
+    assert helpers.solver_outcomes(fam) == \
+        helpers.solver_outcomes(replace(fam, symmetry=(), swaps=()))
 
 
 @SETTINGS

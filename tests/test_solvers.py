@@ -362,10 +362,22 @@ class TestNodeCounts:
 
     def test_orbital_enumeration_on_sun_16_3(self):
         # its 16 optima are the rotations of one star; 10,442 nodes
-        # without orbital branching, 4,499 without the dominance check
+        # without orbital branching, 4,499 without the dominance check,
+        # 3,267 without the pendant swaps
         res = enumerate_maximum_s_intersecting(path_family(make_sun(16, 3), 8), 2)
         assert res.value == 88 and len(res.all_optima) == 16 and not res.limits_hit
-        assert res.nodes <= 3267
+        assert res.nodes <= 531
+
+    @pytest.mark.parametrize("n, t, r, value, nodes", [
+        (14, 3, 7, 72, 319), (16, 4, 8, 135, 8797),
+    ], ids=["sun-14-3", "sun-16-4"])
+    def test_pendant_swaps_on_s2_suns(self, n, t, r, value, nodes):
+        # at s = 2 paths that differ in an end pendant are not twins, so
+        # the pendant swaps prune branches the twin quotient keeps:
+        # 1,401 and 119,263 nodes (10 s) with the dihedral group alone
+        res = enumerate_maximum_s_intersecting(path_family(make_sun(n, t), r), 2)
+        assert res.value == value and len(res.all_optima) == n and not res.limits_hit
+        assert res.nodes <= nodes
 
     def test_orbital_enumeration_on_all_paths_of_cycle_11(self):
         # 36,806 nodes without orbital branching, 10,946 without the
@@ -436,9 +448,9 @@ class TestNodeCounts:
     ], ids=["max-sun-14-3", "enum-sun-14-3", "nonstar-sun-10-2", "nonstar-enum-cycle-14",
             "sperner-sun-6-1"])
     def test_without_the_group(self, solve, fam, value, nodes):
-        # the searches with the group take 3,588, 1,401, 578, 41 and 289
-        # nodes; these bound the group-free loops
-        res = solve(replace(fam(), symmetry=()))
+        # the searches with the group and the pendant swaps take 2,762,
+        # 319, 578, 41 and 289 nodes; these bound the group-free loops
+        res = solve(replace(fam(), symmetry=(), swaps=()))
         assert res.value == value and res.value_exact and not res.limits_hit
         assert res.nodes <= nodes
 
@@ -505,7 +517,7 @@ class TestCertificationOverrun:
 
     @pytest.mark.parametrize("solve, fam, budget, witness", [
         (lambda f, lim: max_s_intersecting(f, 2, lim),
-         lambda: path_family(make_sun(10, 2), 5), 2,
+         lambda: path_family(make_sun(10, 2), 5), 1,
          (12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
           32, 33, 36, 39)),
         (lambda f, lim: max_nonstar_s_intersecting(f, 1, lim),
@@ -775,12 +787,17 @@ MAX_DIFFERENTIAL_MEMBERS = {"cycle": 60, "sun": 45, "theta": 14}
 
 
 class TestOrbitalBranching:
-    """Path families carry their host's automorphism generators: the
-    clique searches branch on orbits and close the optima they collect
-    under the group.  Every answer must equal the group-free search's."""
+    """Path families carry their host's automorphism generators, and sun
+    families their pendant swaps: the clique searches branch on orbits
+    and close the optima they collect under the whole group.  Every
+    answer must equal the group-free search's."""
 
     @pytest.mark.parametrize("kind", ("cycle", "sun", "theta"))
     def test_answers_do_not_depend_on_the_group(self, kind):
+        # a sun family is also searched with its swaps alone, which the
+        # closure then closes by its breadth-first walk, with no listed
+        # group; sun(3,2) r=4 has members with equal vertex sets, whose
+        # copies the swaps must pair in index order
         checked = 0
         for g in helpers.symmetric_hosts():
             if g.kind != kind:
@@ -788,8 +805,11 @@ class TestOrbitalBranching:
             for label, fam in helpers.host_path_families(g):
                 if len(fam) > MAX_DIFFERENTIAL_MEMBERS[kind]:
                     continue
-                assert helpers.solver_outcomes(fam) == \
-                    helpers.solver_outcomes(replace(fam, symmetry=())), (g.meta, label)
+                plain = helpers.solver_outcomes(replace(fam, symmetry=(), swaps=()))
+                assert helpers.solver_outcomes(fam) == plain, (g.meta, label)
+                if fam.member_swaps:
+                    assert helpers.solver_outcomes(replace(fam, symmetry=())) == plain, \
+                        (g.meta, label, "swaps alone")
                 checked += 1
         assert checked >= 100
 
