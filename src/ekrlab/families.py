@@ -6,7 +6,7 @@ Sets are Python ints used as bit masks over a ground set 0..ground-1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -22,9 +22,10 @@ def mask_of(elems: Iterable[int]) -> int:
 def elems_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 
@@ -72,11 +73,6 @@ class SetFamily:
     but not the other and the indices of their images, copies mapped in
     order as in member_symmetry (the images go back).  Neither plays a
     part in equality.
-
-    members, when given, holds each member's elements ascending, in
-    member order, as a caller that built the members from them already
-    has them (a path's sorted vertices); elems then takes them instead of
-    reading them off the masks.  It is not kept as a field.
     """
 
     ground: int
@@ -89,34 +85,27 @@ class SetFamily:
     swaps: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
     member_swaps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
         init=False, default=(), compare=False, repr=False)
-    members: InitVar[Sequence[tuple[int, ...]] | None] = None
 
-    def __post_init__(self, members: Sequence[tuple[int, ...]] | None) -> None:
+    def __post_init__(self) -> None:
         full = (1 << self.ground) - 1
         for s in self.sets:
             if s & ~full:
                 raise ValueError("set exceeds ground range")
         if list(self.sets) != sorted(self.sets):
             raise ValueError("sets must be sorted")
-        if members is not None:
-            # seeds the cached elems
-            self.__dict__["elems"] = tuple(members)
-        tables = self._member_permutations() if self.symmetry else []
-        if tables:
-            distinct = set(tables)
-            distinct.discard(tuple(range(len(self.sets))))
-            object.__setattr__(self, "member_symmetry", tuple(sorted(distinct)))
+        if self.symmetry:
+            object.__setattr__(self, "member_symmetry", self._member_permutations())
         if self.swaps:
-            object.__setattr__(self, "member_swaps", self._member_swaps(tables))
+            object.__setattr__(self, "member_swaps", self._member_swaps())
 
-    def _member_permutations(self) -> list[tuple[int, ...]]:
-        """Each symmetry entry acting on member indices; a ValueError
-        unless each entry is a bijection of the ground set that maps the
-        multiset of members onto itself.  A stable sort of the members by
-        image puts the copies of a duplicated image in member order."""
+    def _member_permutations(self) -> tuple[tuple[int, ...], ...]:
+        """symmetry acting on member indices; a ValueError unless each
+        entry is a bijection of the ground set that maps the multiset of
+        members onto itself.  A stable sort of the members by image puts
+        the copies of a duplicated image in member order."""
         sets = list(self.sets)
         m = len(sets)
-        tables = []
+        perms = set()
         for perm in self.symmetry:
             if sorted(perm) != list(range(self.ground)):
                 raise ValueError("symmetry entry is not a permutation of the ground set")
@@ -125,11 +114,11 @@ class SetFamily:
             by_image = sorted(range(m), key=images.__getitem__)
             if list(map(images.__getitem__, by_image)) != sets:
                 raise ValueError("symmetry entry does not map the members onto themselves")
-            tables.append(tuple(sorted(range(m), key=by_image.__getitem__)))
-        return tables
+            perms.add(tuple(sorted(range(m), key=by_image.__getitem__)))
+        perms.discard(tuple(range(m)))
+        return tuple(sorted(perms))
 
-    def _member_swaps(self, tables: list[tuple[int, ...]]
-                      ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    def _member_swaps(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """swaps acting on member indices, one entry per distinct pair
         that moves a member: the indices of the members holding one
         element of the pair but not the other, and of their images.  A
@@ -139,55 +128,33 @@ class SetFamily:
         members onto itself and every symmetry entry maps each pair to a
         pair.
 
-        tables holds the symmetry entries acting on members.  A pair is
-        checked and mapped directly only when no earlier pair reaches it
-        by conjugation: perm maps the pair (a, b) to (perm[a], perm[b]),
-        and the swap of that pair acts on members as table, the swap of
-        (a, b), then table back, so its members and images are the
-        images under table of those of (a, b).  Checked directly: the
-        members are sorted, so the copies of a set are consecutive and
-        the k-th copy of a set maps to the k-th copy of its image; with
-        as many members on each side, that every image is such a copy
-        settles that the copies are counted."""
+        The transposition of a < b adds 2**b - 2**a to every mask holding
+        a but not b, which keeps their order; the members are sorted, so
+        it maps them in index order onto the members holding b but not a
+        exactly when it maps the members onto themselves, and then the
+        k-th copy of a set goes to the k-th copy of its image."""
         keys = list(dict.fromkeys((min(a, b), max(a, b)) for a, b in self.swaps))
         for a, b in keys:
             if not 0 <= a < b < self.ground:
                 raise ValueError("swap entry is not a pair of distinct ground elements")
         known = set(keys)
+        for perm in self.symmetry:
+            for a, b in keys:
+                u, v = perm[a], perm[b]
+                if ((u, v) if u < v else (v, u)) not in known:
+                    raise ValueError("symmetry entry does not map the swaps onto swaps")
         sets = self.sets
-        m = len(sets)
-        first = dict(zip(reversed(sets), range(m - 1, -1, -1)))
         holders = self.holders + [0] * (self.ground - len(self.holders))
-        moved: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        out = []
         for a, b in keys:
-            if (a, b) in moved:
-                continue
-            both = 1 << a | 1 << b
             members = elems_of(holders[a] & ~holders[b])
-            images = []
-            for i in members:
-                image = sets[i] ^ both
-                j = first.get(image, m) + i - first[sets[i]]
-                if j >= m or sets[j] != image:
-                    raise ValueError("swap entry does not map the members onto themselves")
-                images.append(j)
-            if (holders[b] & ~holders[a]).bit_count() != len(members):
+            images = elems_of(holders[b] & ~holders[a])
+            step = (1 << b) - (1 << a)
+            if [sets[i] + step for i in members] != list(map(sets.__getitem__, images)):
                 raise ValueError("swap entry does not map the members onto themselves")
-            moved[a, b] = members, tuple(images)
-            # every pair meets every symmetry entry once on this walk
-            queue = [(a, b)]
-            for x, y in queue:
-                for perm, table in zip(self.symmetry, tables):
-                    u, v = perm[x], perm[y]
-                    key = (u, v) if u < v else (v, u)
-                    if key not in moved:
-                        if key not in known:
-                            raise ValueError("symmetry entry does not map the swaps onto swaps")
-                        sources, targets = moved[x, y]
-                        moved[key] = (tuple(map(table.__getitem__, sources)),
-                                      tuple(map(table.__getitem__, targets)))
-                        queue.append(key)
-        return tuple(moved[key] for key in keys if moved[key][0])
+            if members:
+                out.append((members, images))
+        return tuple(out)
 
     @classmethod
     def from_masks(cls, ground: int, masks: Iterable[int], name: str = "") -> "SetFamily":

@@ -9,7 +9,6 @@ sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .families import SetFamily, duplicate_note
 from .graphs import Graph, GraphError, automorphism_generators, pendant_swaps
@@ -128,14 +127,12 @@ def to_setfamily(pf: PathFamily) -> SetFamily:
     this) are all kept as members, and the collision is recorded in the
     family's note.  The host's automorphism generators map paths to
     paths, so they become the family's symmetry, and a sun's pendant
-    swaps its swaps.  A path's sorted vertices are its member's elements.
+    swaps its swaps.
     """
-    ordered = sorted(pf.paths, key=attrgetter("mask"))
-    masks = [p.mask for p in ordered]
+    masks = sorted(p.mask for p in pf.paths)
     return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name,
                      note=duplicate_note(masks), symmetry=automorphism_generators(pf.host),
-                     swaps=pendant_swaps(pf.host),
-                     members=[tuple(sorted(p.seq)) for p in ordered])
+                     swaps=pendant_swaps(pf.host))
 
 
 def image_on_cycle(p: PathSubgraph, g: Graph) -> PathSubgraph | None:

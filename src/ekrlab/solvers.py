@@ -133,7 +133,6 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_
-from typing import NamedTuple
 
 from .families import SetFamily, best_full_star, elems_of, holder_masks
 
@@ -409,18 +408,19 @@ def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
     return tuple(sorted(bytes(g) + _BYTE_IDENTITY[len(g):] for g in gens))
 
 
-class _Swaps(NamedTuple):
-    """A family's swaps acting on quotient vertices (_quotient_swaps):
-    tables[k] permutes the quotient vertices as swap k does; per quotient
-    vertex q, moves[q] masks the swaps that move q (bit k for swap k) and
-    images[q] lists (bit, image of q) for each of them."""
-
-    tables: tuple[Perm, ...]
-    moves: list[int]
-    images: list[list[tuple[int, int]]]
+# A permutation of range(m) as a lookup table, perm[x] the image of x: for
+# m <= 256 a 256-byte table (identity past m), which bytes.translate
+# composes in one call; otherwise a tuple.
+Perm = bytes | tuple[int, ...]
+_BYTE_IDENTITY = bytes(range(256))
 
 
-_NO_SWAPS = _Swaps((), [], [])
+# A family's swaps acting on quotient vertices (_quotient_swaps), as
+# (tables, moves, images): tables[k] permutes the quotient vertices as
+# swap k does; per quotient vertex q, moves[q] masks the swaps that move q
+# (bit k for swap k) and images[q] lists (bit, image of q) for each of them.
+_Swaps = tuple[tuple[Perm, ...], list[int], list[list[tuple[int, int]]]]
+_NO_SWAPS: _Swaps = ((), [], [])
 
 
 def _quotient_swaps(graph: _Quotient, fam: SetFamily) -> _Swaps:
@@ -451,14 +451,7 @@ def _quotient_swaps(graph: _Quotient, fam: SetFamily) -> _Swaps:
                 images[q].append((bit, image))
                 images[image].append((bit, q))
         tables.append(bytes(table) if m <= 256 else tuple(table))
-    return _Swaps(tuple(tables), moves, images) if tables else _NO_SWAPS
-
-
-# A permutation of range(m) as a lookup table, perm[x] the image of x: for
-# m <= 256 a 256-byte table (identity past m), which bytes.translate
-# composes in one call; otherwise a tuple.
-Perm = bytes | tuple[int, ...]
-_BYTE_IDENTITY = bytes(range(256))
+    return (tuple(tables), moves, images) if tables else _NO_SWAPS
 
 
 def _compose(a: Perm, b: Perm) -> Perm:
@@ -480,7 +473,7 @@ def _orbit(gens: tuple[Perm, ...], v: int, swaps: int = 0,
            images: list[list[tuple[int, int]]] | None = None) -> int:
     """v's orbit under the group generated by gens and the swaps whose
     bits the mask swaps holds, as a mask; images[u] lists (bit, image of
-    u) for the swaps that move u (_Swaps.images), so only those are
+    u) for the swaps that move u (the images of _Swaps), so only those are
     tried at u."""
     orbit = 1 << v
     queue = [v]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import helpers
-from ekrlab.families import SetFamily, best_full_star, emit_family, \
+from ekrlab.families import SetFamily, best_full_star, elems_of, emit_family, \
     full_star, holder_masks, is_exactly_s_intersecting, is_s_intersecting, is_s_star, is_sperner, \
     is_triangular, mask_of, parse_family, stats
 from ekrlab.graphs import automorphism_generators, make_cycle, make_sun, make_theta, \
@@ -31,6 +31,10 @@ class TestHolders:
         assert fam.holders == [0b0110, 0b1000, 0b1110]
         assert fam.holders is fam.holders
         assert holder_masks([]) == [] and holder_masks([()]) == []
+
+    def test_elems_of_is_ascending(self):
+        for elems in ((), (0,), (0, 1, 63, 64, 127), (5, 200), tuple(range(0, 130, 3))):
+            assert elems_of(mask_of(elems)) == elems
 
 
 class TestIntersecting:
@@ -273,15 +277,6 @@ class TestSwaps:
         with pytest.raises(ValueError, match="onto swaps"):
             replace(fam, swaps=fam.swaps[:2])
         assert replace(fam, symmetry=(), swaps=fam.swaps[:2]).member_swaps
-
-    def test_conjugate_swaps_match_the_direct_ones(self):
-        # a swap that the symmetry reaches from an earlier one is mapped
-        # through the member tables, not checked directly; both ways agree
-        for n, t, r in ((4, 3, 3), (5, 2, 4), (3, 2, 4), (6, 3, 2)):
-            fam = to_setfamily(enumerate_paths_r(make_sun(n, t), r))
-            direct = replace(fam, symmetry=())
-            assert [tuple(sorted(zip(*side))) for side in fam.member_swaps] == \
-                [tuple(sorted(zip(*side))) for side in direct.member_swaps], (n, t, r)
 
     def test_duplicates_are_matched_copy_by_copy(self):
         # the k-th copy of a set goes to the k-th copy of its image

@@ -1,7 +1,6 @@
 import pytest
 
 import helpers
-from ekrlab.families import elems_of
 from ekrlab.graphs import Graph, GraphError, make_cycle, make_random_tree, make_sun, \
     make_theta
 from ekrlab.paths import PathSubgraph, enumerate_paths_all, enumerate_paths_r, \
@@ -157,14 +156,6 @@ class TestToSetFamily:
         fam = to_setfamily(enumerate_paths_all(make_cycle(5)))
         assert len(fam) == 25
         assert fam.note is not None and "duplicate" in fam.note
-
-    def test_members_are_the_paths_vertices(self):
-        # the family takes each member's elements from its path, not from
-        # its mask; copies of one vertex set included
-        for pf in (enumerate_paths_all(make_cycle(5)), enumerate_paths_r(make_sun(5, 2), 4),
-                   enumerate_paths_upto(make_theta((2, 3, 3)), 4)):
-            fam = to_setfamily(pf)
-            assert fam.elems == tuple(map(elems_of, fam.sets))
 
     @pytest.mark.parametrize("g,r", [
         (make_sun(6, 1), 3), (make_sun(8, 2), 4), (make_theta((2, 5, 5)), 4),
