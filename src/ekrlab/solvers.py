@@ -29,6 +29,23 @@ weight in each color class.  A degree cap can split a twin class, so the
 triangular search keeps one vertex per member.  Node counts count
 quotient vertices.
 
+The same argument covers containment: when u is a strict subset of x
+and |u| >= s, everything that meets u in s elements meets x in s, so
+N[u] is inside N[x] and every maximum clique, plain or non-star, that
+holds u also holds x.  Hereditary families such as all paths of a graph
+are full of such pairs.  So in those two searches each quotient vertex
+v has up[v], its neighbours whose class holds a strict superset of v's
+representative (the AND of the holder masks of its elements), and a
+node whose candidates meet up of some vertex on the stack takes the
+lowest such candidate as its only branch (a forced take): leaving it
+out leaves no optimum in the node.  A forced take computes no coloring
+and, like an orbit-skipped vertex, is not a node; it still passes the
+dominance check, the ceiling and the hook.  A family whose members all
+have one size holds no strict containment and gets no table.  The
+Sperner search gets none because nested members are not adjacent in its
+relation, and the triangular one none because a superset can break the
+degree cap.
+
 Graphs are built from holder masks, not pair tests (meet_rows,
 _sperner_rows): holders[e] masks the members that hold element e
 (SetFamily.holders, once per family), so a graph on m members of |A|
@@ -83,18 +100,20 @@ such as theta(3,3,3,3)'s, of order 48; theta((2,)*7)'s, of order 10,080,
 is not listed), and skips a candidate below the root when some element
 maps the branch to one already searched (symmetry breaking by dominance,
 SBDS): with the branch p_1..p_k and U_j the vertices the nodes on
-p_1..p_j were done with (branched, orbit-skipped or skipped this way)
-when the path went on, v is skipped when some listed g and j <= k have
-p_1..p_j in g(p_1..p_k, v) and g(p_1..p_k, v) meeting U_j.
+p_1..p_j were done with (branched, orbit-skipped or skipped this way;
+a forced take is done with nothing) when the path went on, v is
+skipped when some listed g and j <= k have p_1..p_j in g(p_1..p_k, v)
+and g(p_1..p_k, v) meeting U_j.
 Every clique through p_1..p_j and a vertex of U_j has an image, under
 the whole group, that an earlier branch collected, or proved lighter
 than best, under a threshold no higher than the current one: a vertex
 of U_j was branched on, or skipped as the image of one under an
 automorphism that fixes p_1..p_j (a listed element or a product of the
-node's generators and swaps), or skipped this way.  So every clique
-through the skipped branch has such an image too.  That holds with the
-hooks, which the group and the swaps preserve, and in a maximum search,
-which keeps no ties.  The root removes whole orbits under its
+node's generators and swaps), or skipped this way; a forced take drops
+only cliques lighter than one it keeps.  So every clique through the
+skipped branch has such an image too.  That holds with the hooks, which
+the group and the swaps preserve, and in a maximum search, which keeps
+no ties.  The root removes whole orbits under its
 generators and swaps, which are unions of orbits of the listed group,
 so U_0 is one too, as the check needs.
 
@@ -107,7 +126,8 @@ still lists every optimum, and the optima cap still counts optima; a
 capped list is a sample drawn by the group-free pass, so no answer
 depends on the group.  The certification pass stays symmetry-free, so
 witnesses are unchanged.  A node is one branched vertex: the vertices
-skipped as orbit images or by the dominance check are not counted.
+skipped as orbit images or by the dominance check, and forced takes,
+are not counted.
 
 Transversals use one hitting-set decision routine ("can k elements of
 an allowed set hit every uncovered member?") for both the minimum and
@@ -393,6 +413,36 @@ def _compat_quotient(fam: SetFamily, s: int) -> _Quotient:
                           partial(meet_rows, s=s))
 
 
+class _Containing(dict):
+    """up[v] for the quotient vertices v of a compatibility graph,
+    computed on first use: v's neighbours whose class holds a strict
+    superset of v's representative.  The members holding every element
+    of the representative are the AND of their holder masks, started
+    from all members (an empty member has no element); they include the
+    representative's own class, which its row leaves out."""
+
+    __slots__ = ("graph", "elems", "holders", "everyone")
+
+    def __init__(self, graph: _Quotient, fam: SetFamily) -> None:
+        super().__init__()
+        self.graph = graph
+        self.elems = fam.elems
+        self.holders = fam.holders
+        self.everyone = (1 << len(fam)) - 1
+
+    def __missing__(self, v: int) -> int:
+        graph, holders = self.graph, self.holders
+        sup = self.everyone
+        for e in self.elems[graph.members[v][0]]:
+            sup &= holders[e]
+        pos = graph.pos
+        up = 0
+        for i in elems_of(sup):
+            up |= 1 << pos[i]
+        self[v] = up = up & graph.rows[v]
+        return up
+
+
 def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
     """The family's member symmetry acting on quotient vertices, as
     permutation tables.  A permutation of members that preserves the
@@ -654,7 +704,8 @@ class _CliqueSearch:
     the hook's verdicts; elements lists the group they generate without
     the identity, or is () when its order passes m^2.  swaps holds more
     such automorphisms (_Swaps): they generate a normal subgroup of the
-    whole group, and are never listed.
+    whole group, and are never listed.  ups holds the forced takes
+    (_Containing), or is None when the search has none.
 
     One recursive loop, _collect, branches for maximum(),
     enumerate_exact() and the decision passes of lex_least().  _collect
@@ -667,13 +718,14 @@ class _CliqueSearch:
 
     def __init__(self, graph: _Quotient, budget: _Budget,
                  hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = (),
-                 swaps: _Swaps = _NO_SWAPS) -> None:
+                 swaps: _Swaps = _NO_SWAPS, ups: _Containing | None = None) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
         self.hook = hook
+        self.ups = ups
         self.gens = group
         self.elements = _list_group(group, self.m)
         self.swap_tables, self.moves, self.swap_images = swaps
@@ -776,12 +828,17 @@ class _CliqueSearch:
         that counts extend the clique on stack (of weight weight, with
         candidates cand and hook state state)?  A group-free collecting
         pass with threshold and ceiling size, stopped by _Capped at the
-        first such clique."""
+        first such clique.  Such a clique is maximum, so it holds the
+        forced takes of every class on stack."""
         self._start(size, [], 0, True)
         self._listed = ()
         self._ceiling = size
+        up = 0
+        if self.ups is not None:
+            for v in stack:
+                up |= self.ups[v]
         try:
-            self._collect(stack, weight, cand, state, (), 0)
+            self._collect(stack, weight, cand, state, (), 0, up)
         except _Capped:
             return True
         return False
@@ -824,7 +881,7 @@ class _CliqueSearch:
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
-                 gens: tuple[Perm, ...], swaps: int,
+                 gens: tuple[Perm, ...], swaps: int, up: int = 0,
                  lead: list[_Lead] | None = None) -> None:
         """Every clique search: branch on the candidates in reverse
         coloring order, pruned by the coloring bound against best, and
@@ -845,18 +902,28 @@ class _CliqueSearch:
         is not a node.  lead holds an entry for each listed g with
         g^-1(p_1) on the stack.
 
+        up is the union of ups[p] over the stack p.  When it meets cand,
+        every optimum through the node holds each vertex of the meet, so
+        the node is a forced take: the lowest of them is its only branch,
+        bounded by the ceiling alone, and spends no budget.
+
         No clique that counts weighs more than the ceiling (the member
         count, or the decision pass's weight), so a vertex that would
         grow the clique past it is a node that leaves the candidates
         unsearched, and a clique at the ceiling gets no child."""
-        adj, weight, hook = self.adj, self.weight, self.hook
-        # best only rises within a pass, so no position below this is branched on
-        floor = self.best - size + self._capped
-        order, bounds = _color_order(adj, cand, floor) if weight is None \
-            else _weighted_color_order(adj, cand, weight, floor)
+        adj, weight, hook, ups = self.adj, self.weight, self.hook, self.ups
         listed, ceiling = self._listed, self._ceiling
+        forced = cand & up
+        if forced:
+            order, bounds = [(forced & -forced).bit_length() - 1], [ceiling - size]
+        else:
+            # best only rises within a pass, so no position below this is branched on
+            floor = self.best - size + self._capped
+            order, bounds = _color_order(adj, cand, floor) if weight is None \
+                else _weighted_color_order(adj, cand, weight, floor)
         moves, images = self.moves, self.swap_images
-        symmetric = gens or swaps
+        # a forced take's one branch leaves no sibling for its orbit to skip
+        symmetric = (gens or swaps) and not forced
         start = cand
         for i in range(len(order) - 1, -1, -1):
             reach = size + bounds[i]
@@ -872,7 +939,8 @@ class _CliqueSearch:
                 if child_lead is None:
                     cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
                     continue
-            self.budget.spend()
+            if not forced:
+                self.budget.spend()
             grown = size + (1 if weight is None else weight[v])
             if grown > ceiling:
                 cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
@@ -884,12 +952,13 @@ class _CliqueSearch:
             if nxt and grown < ceiling:
                 stab = _stabilizer(gens, v) if gens else ()
                 kept = swaps & ~moves[v] if swaps else 0
+                above = up | ups[v] if ups is not None else 0
                 if listed:
                     self._done.append(done)
-                    self._collect(stack, grown, nxt, inner, stab, kept, child_lead)
+                    self._collect(stack, grown, nxt, inner, stab, kept, above, child_lead)
                     self._done.pop()
                 else:
-                    self._collect(stack, grown, nxt, inner, stab, kept)
+                    self._collect(stack, grown, nxt, inner, stab, kept, above)
             stack.pop()
             cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
 
@@ -1002,11 +1071,14 @@ class _CliqueSearch:
 
 
 def _search(graph: _Quotient, fam: SetFamily, limits: Limits,
-            hook: _Hook | _PlainHook = _PLAIN) -> _CliqueSearch:
+            hook: _Hook | _PlainHook = _PLAIN, containing: bool = False) -> _CliqueSearch:
     """A clique search on graph, a quotient of fam's members, with the
-    node budget of limits and fam's symmetry and swaps."""
+    node budget of limits and fam's symmetry and swaps.  containing: graph
+    is a compatibility graph, so the search takes forced takes, unless
+    fam's members all have one size."""
+    ups = _Containing(graph, fam) if containing and len(set(map(len, fam.elems))) > 1 else None
     return _CliqueSearch(graph, _Budget(limits.node_budget), hook,
-                         _quotient_group(graph, fam), _quotient_swaps(graph, fam))
+                         _quotient_group(graph, fam), _quotient_swaps(graph, fam), ups)
 
 
 def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:
@@ -1088,7 +1160,7 @@ def max_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits)
+    search = _search(graph, fam, limits, containing=True)
     return _certified_maximum(search, seed=_star_seed(fam, s, graph))
 
 
@@ -1098,7 +1170,7 @@ def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits)
+    search = _search(graph, fam, limits, containing=True)
     return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
                        limits.optima_cap)
 
@@ -1118,7 +1190,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s))
+    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), containing=True)
     if enumerate_optima:
         res = _enumerated(search, (0, 0), limits.optima_cap)
     else:

@@ -11,9 +11,10 @@ symmetry, so the searches also branch on orbits, skip branches whose
 image was searched and close their optima under the group.  Families
 closed under antipodal transpositions as well carry them as swaps, and
 every clique solver must answer on them as it does with no symmetry at
-all.  A last property relabels the ground set and checks that no value
-and no optimum changes.  derandomize keeps every run on the same
-examples.
+all.  Down-closed families, with the empty set and repeated members,
+check the forced takes of nested members.  A last property relabels the
+ground set and checks that no value and no optimum changes.
+derandomize keeps every run on the same examples.
 """
 
 from dataclasses import replace
@@ -86,6 +87,55 @@ def swapped_families(draw) -> SetFamily:
                    [rotation] + transpositions)
     symmetry = (rotation,) if draw(st.booleans()) else ()
     return SetFamily(ground=ground, sets=tuple(sorted(sets)), symmetry=symmetry, swaps=swaps)
+
+
+@st.composite
+def hereditary_families(draw) -> SetFamily:
+    """A down-closed family: every subset of a drawn member of at most
+    three elements, the empty set among them, while the family stays
+    small, then a few members repeated.  Nested members abound, so the
+    s-intersecting searches take forced takes."""
+    ground = draw(st.integers(1, 6))
+    small = st.lists(st.integers(0, ground - 1), max_size=3).map(mask_of)
+    sets: set[int] = set()
+    for top in draw(st.lists(small, min_size=1, max_size=4)):
+        below = {sub for sub in range(top + 1) if sub & top == sub}
+        if len(sets | below) <= MAX_MEMBERS - 3:
+            sets |= below
+    members = sorted(sets)
+    members += draw(st.lists(st.sampled_from(members), max_size=3))
+    return SetFamily(ground=ground, sets=tuple(sorted(members)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(hereditary_families())
+def test_hereditary_families(fam):
+    # every s-intersecting search at s = 1..3, the enumerations also
+    # under the caps 0, 1 and 5 (helpers.solver_outcomes), against the
+    # subset scans
+    outcomes = helpers.solver_outcomes(fam)
+    caps = (Limits().optima_cap, 0, 1, 5)
+    for s in (1, 2, 3):
+        for kind, enum, nonstar in (("max", "enumerate", False),
+                                    ("nonstar", "nonstar-enumerate", True)):
+            value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar)
+            if not optima:
+                # no non-star subfamily at all
+                infeasible = (0, (), None, False, True, True, None)
+                assert outcomes[kind, s] == infeasible
+                assert all(outcomes[enum, s, cap] == infeasible for cap in caps)
+                continue
+            witness = min(optima)
+            assert outcomes[kind, s] == (value, witness, None, False, True, False, None)
+            for cap in caps:
+                got, got_witness, sample, hit, exact, infeasible, _ = outcomes[enum, s, cap]
+                assert (got, got_witness, exact, infeasible) == (value, witness, True, False)
+                if len(optima) <= cap:
+                    assert sample == tuple(sorted(optima)) and not hit
+                else:
+                    # a capped list is a sample: cap distinct optima, sorted
+                    assert hit and len(sample) == cap and set(sample) <= optima
+                    assert list(sample) == sorted(set(sample))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

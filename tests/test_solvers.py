@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from ekrlab import paths, solvers, verdicts
-from ekrlab.families import SetFamily, is_s_intersecting, is_s_star, mask_of, stats
+from ekrlab.families import SetFamily, elems_of, is_s_intersecting, is_s_star, mask_of, \
+    stats
 from ekrlab.graphs import make_cycle, make_random_tree, make_sun, make_theta
 from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
     to_setfamily
@@ -87,6 +88,27 @@ class TestGraphBuild:
         adj = helpers.naive_sperner_rows(fam)
         assert _quotient_of(fam, solvers._sperner_rows, by_degree) == \
             helpers.naive_twin_quotient(adj, by_degree)
+
+    @SETTINGS
+    @given(build_families(), st.sampled_from((1, 2, 3, 4)))
+    def test_forced_takes_hold_the_neighbourhood(self, fam, s):
+        # ups[v] is every neighbour class of v holding a strict superset of
+        # v's representative, and then each member u of v and x of that
+        # class have N[u] inside N[x]; empty members have no elements
+        graph = solvers._compat_quotient(fam, s)
+        ups = solvers._Containing(graph, fam)
+        rows = helpers.naive_compatibility_rows(fam, s)
+        closed = [row | 1 << i for i, row in enumerate(rows)]
+        for v, cls in enumerate(graph.members):
+            rep = fam.sets[cls[0]]
+            expected = {q for q, other in enumerate(graph.members)
+                        if (rows[cls[0]] >> other[0]) & 1
+                        and any(fam.sets[x] & rep == rep != fam.sets[x] for x in other)}
+            assert set(elems_of(ups[v])) == expected
+            for q in expected:
+                for u in cls:
+                    for x in graph.members[q]:
+                        assert closed[u] & ~closed[x] == 0
 
     @pytest.mark.parametrize("g, r, s", DENSE_SEARCH.values(), ids=DENSE_SEARCH.keys())
     def test_dense_search_families(self, g, r, s):
@@ -381,11 +403,44 @@ class TestNodeCounts:
 
     def test_orbital_enumeration_on_all_paths_of_cycle_11(self):
         # 36,806 nodes without orbital branching, 10,946 without the
-        # dominance check
+        # dominance check, 2,542 without forced takes
         res = enumerate_maximum_s_intersecting(
             to_setfamily(enumerate_paths_all(make_cycle(11))), 1)
         assert res.value == 66 and len(res.all_optima) == 1024 and not res.limits_hit
-        assert res.nodes <= 2542
+        assert res.nodes <= 167
+
+    @pytest.mark.parametrize("host, value, optima, nodes", [
+        (lambda: make_sun(8, 1), 144, 120, 30), (lambda: make_cycle(11), 66, 1024, 167),
+    ], ids=["sun-8-1", "cycle-11"])
+    def test_forced_takes_in_check_ekr_on_all_paths(self, monkeypatch, host, value, optima,
+                                                    nodes):
+        # the dense-search all-paths items: 1,109 and 2,542 nodes without
+        # forced takes
+        solved = []
+
+        def recording(fam, s, limits):
+            solved.append(enumerate_maximum_s_intersecting(fam, s, limits))
+            return solved[-1]
+
+        monkeypatch.setattr(verdicts, "enumerate_maximum_s_intersecting", recording)
+        v = verdicts.check_ekr(host(), "all-paths", None, 1)
+        assert v.brute_value == value and v.value_exact and not v.limits_hit
+        [res] = solved
+        assert len(res.all_optima) == optima and res.nodes <= nodes
+
+    @pytest.mark.parametrize("host, value, nodes", [
+        (lambda: make_sun(7, 1), 112, 64), (lambda: make_cycle(12), 78, 0),
+    ], ids=["sun-7-1", "cycle-12"])
+    def test_forced_takes_in_the_maximum_on_all_paths(self, host, value, nodes):
+        # 4,851 and 2,211 nodes without forced takes; on cycle(12) the
+        # root's coloring bound meets the greedy clique, and the
+        # certification's decisions branch nowhere
+        fam = to_setfamily(enumerate_paths_all(host()))
+        res = max_s_intersecting(fam, 1)
+        assert res.value == value and res.value_exact and not res.limits_hit
+        assert res.nodes <= nodes
+        full = enumerate_maximum_s_intersecting(fam, 1)
+        assert res.witness == full.all_optima[0]
 
     def test_check_hm_on_cycle_26_13(self, monkeypatch):
         # 8,166 non-star optima; 16,382 nodes without orbital branching,
@@ -429,11 +484,12 @@ class TestNodeCounts:
         assert res.nodes == nodes
 
     def test_nonstar_enumeration_on_all_paths_of_cycle_9(self):
-        # 699,237 nodes when the quotient was in member order
+        # 699,237 nodes when the quotient was in member order, 621
+        # without forced takes
         res = max_nonstar_s_intersecting(to_setfamily(enumerate_paths_all(make_cycle(9))), 1,
                                          enumerate_optima=True)
         assert res.value == 45 and len(res.all_optima) == 247 and not res.limits_hit
-        assert res.nodes <= 1685
+        assert res.nodes <= 64
 
     @pytest.mark.parametrize("solve, fam, value, nodes", [
         (lambda f: max_s_intersecting(f, 2), lambda: path_family(make_sun(14, 3), 7), 72, 5416),
@@ -562,6 +618,35 @@ class TestOverrunWitness:
                 assert is_s_intersecting(sub, 1), (budget, cap)
                 if nonstar and res.witness:
                     assert not is_s_star(sub, 1).is_star, (budget, cap)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("solve, nonstar", [
+        (max_s_intersecting, False),
+        (enumerate_maximum_s_intersecting, False),
+        (max_nonstar_s_intersecting, True),
+        (partial(max_nonstar_s_intersecting, enumerate_optima=True), True),
+    ], ids=["maximum", "enumeration", "nonstar", "nonstar-enumeration"])
+    def test_forced_takes_on_all_paths(self, solve, nonstar, s):
+        # a search with forced takes, cut at every budget up to 20: a run
+        # that the budget covers is the full one, and a cut one reports
+        # the cut and a clique of its value
+        fam = to_setfamily(enumerate_paths_all(make_cycle(9)))
+        for cap in (0, 1, 5):
+            full = solve(fam, s, Limits(optima_cap=cap))
+            for budget in range(21):
+                res = solve(fam, s, Limits(node_budget=budget, optima_cap=cap))
+                if full.nodes <= budget:
+                    assert res == full, (budget, cap)
+                    continue
+                assert res.limits_hit and res.nodes == budget, (budget, cap)
+                assert len(set(res.witness)) == len(res.witness) == res.value, (budget, cap)
+                assert res.value <= full.value and (res.value == full.value
+                                                    or not res.value_exact), (budget, cap)
+                sub = SetFamily(ground=fam.ground,
+                                sets=tuple(sorted(fam.sets[i] for i in res.witness)))
+                assert is_s_intersecting(sub, s), (budget, cap)
+                if nonstar and res.witness:
+                    assert not is_s_star(sub, s).is_star, (budget, cap)
 
 
 class TestNonStar:
