@@ -20,6 +20,10 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def elems_of(mask: int) -> tuple[int, ...]:
+    # a negative mask has infinitely many set bits; the loop below would
+    # never end on one
+    if mask < 0:
+        raise ValueError(f"need a mask >= 0, got {mask}")
     out = []
     while mask:
         top = mask.bit_length() - 1

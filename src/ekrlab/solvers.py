@@ -135,11 +135,13 @@ the certification of the lex-least witness.  It branches on the
 uncovered member with the fewest allowed elements and drops each
 element from the allowed set of the later siblings once its own branch
 has failed, so the branches partition the hitting sets (exclusion
-branching, as in exact cover).  Two lower bounds prune it: a greedy
-packing of pairwise-disjoint uncovered members, and a degree-sum bound
-(the fewest elements whose largest hit counts add up to the uncovered
-count), which carries the search on intersecting families, where the
-packing bound is 1.
+branching, as in exact cover), trying the pivot's elements in
+descending order of the uncovered members they hit.  Two lower bounds
+prune it: a greedy packing of uncovered members whose allowed elements
+are pairwise disjoint, and a degree-sum bound (the k largest hit counts
+must add up to the uncovered count), which carries the search on
+intersecting families, where the packing bound is 1 until elements are
+excluded.
 
 Everything is single-threaded in a fixed order, so values and witnesses
 are reproducible; node budgets make partial results an explicit error
@@ -1209,10 +1211,13 @@ def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveRes
     from a greedy one down, until it finds none, and the certification
     asks it, element by element, whether the elements after the one just
     taken still complete a hitting set of the minimum size (unless the
-    last set found already does).  An overrun
-    in the minimum search leaves the best set found so far with an
-    inexact value; one in the certification leaves the exact value with
-    the minimum search's witness."""
+    last set found already does).  The routine's child order decides
+    which hitting set each question returns, so it moves node counts and
+    the sets held along the way, but never the value or the lex-least
+    witness, which is unique.  An overrun in the minimum search leaves
+    the best set found so far with an inexact value; one in the
+    certification leaves the exact value with the minimum search's
+    witness."""
     sets = fam.sets
     if any(s == 0 for s in sets):
         return SolveResult(value=0, witness=(), infeasible=True)
@@ -1227,14 +1232,6 @@ def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveRes
     return _certified(budget, search.best, search.lex_least, search.best_set)
 
 
-def _degrees_fall_short(holders: list[int], unhit: int, k: int) -> bool:
-    """Degree-sum bound: an element hits (holder & unhit) members, so k
-    elements hit at most the k largest of those counts together.  True
-    when that sum is below |unhit|, i.e. more than k elements are needed."""
-    degrees = sorted([(h & unhit).bit_count() for h in holders], reverse=True)
-    return sum(degrees[:k]) < unhit.bit_count()
-
-
 class _HittingSearch:
     """Hitting-set search over member-index bitmasks, with one branching
     routine for the minimum and its certification.
@@ -1242,39 +1239,35 @@ class _HittingSearch:
     The routine asks whether k elements of an allowed mask can hit every
     uncovered member.  It branches on the uncovered member with the
     fewest allowed elements (a member with none prunes the node), one
-    child per such element in ascending order.  When the child that took
-    e fails, e leaves the allowed mask of the later siblings: a hitting
-    set that holds e was searched under that child, so the siblings
-    partition the hitting sets instead of meeting each once per pivot
-    element it holds (the exclusion branching of exact cover, with the
-    fewest-options pivot of Knuth's Algorithm X).  Members are indexed
-    smallest first (by size, then mask), so ties go to a smallest member.
+    child per such element.  When the child that took e fails, e leaves
+    the allowed mask of the later siblings: a hitting set that holds e
+    was searched under that child, so the siblings partition the hitting
+    sets instead of meeting each once per pivot element it holds (the
+    exclusion branching of exact cover, with the fewest-options pivot of
+    Knuth's Algorithm X).  Since the siblings partition the hitting sets
+    in any order, the children go in descending order of their degree,
+    the number of uncovered members an element hits (lowest element on
+    ties), which reaches a hitting set sooner and changes only which one
+    the routine returns.  Members are indexed smallest first (by size,
+    then mask), so ties between pivots go to a smallest member.
+
     A node with uncovered members is also pruned by two lower bounds on
-    the elements still needed: a greedy packing of pairwise-disjoint
-    uncovered members, each of which needs its own element, and, when
-    the packing does not prune, the degree-sum bound over all elements."""
+    the allowed elements still needed (cover/packing duality).  A greedy
+    packing takes the lowest uncovered member and drops every member
+    that holds one of its allowed elements, until none is left: the
+    members it takes have pairwise-disjoint allowed elements, so each
+    needs an element of its own, even where two share an excluded one.
+    When the packing does not prune, the degree-sum bound prunes a node
+    whose k largest degrees add up to fewer than its uncovered members.
+    One degree list per node serves that bound and the child order."""
 
     def __init__(self, sets: tuple[int, ...], budget: _Budget) -> None:
         self.sets = sorted(sets, key=lambda m: (m.bit_count(), m))
-        elems = [elems_of(mask) for mask in self.sets]
-        self.holders = holder_masks(elems)
-        # meets[i]: the members sharing an element with member i, and i
-        self.meets = [row | 1 << i for i, row in enumerate(meet_rows(elems, self.holders, 1))]
+        self.holders = holder_masks([elems_of(mask) for mask in self.sets])
         self.full = (1 << len(self.sets)) - 1
         self.budget = budget
         self.best = 0
         self.best_set: tuple[int, ...] = ()
-
-    def _packing_exceeds(self, unhit: int, k: int) -> bool:
-        """True when more than k pairwise-disjoint members of unhit turn
-        up, taking each lowest member disjoint from those already taken."""
-        count = 0
-        while unhit:
-            count += 1
-            if count > k:
-                return True
-            unhit &= ~self.meets[(unhit & -unhit).bit_length() - 1]
-        return False
 
     def minimum(self) -> None:
         """Sets best and best_set.  A greedy hitting set (a highest-degree
@@ -1329,7 +1322,18 @@ class _HittingSearch:
         if not unhit:
             return []
         sets, holders = self.sets, self.holders
-        if self._packing_exceeds(unhit, k) or _degrees_fall_short(holders, unhit, k):
+        packed, rest = 0, unhit
+        while rest:
+            mine = sets[(rest & -rest).bit_length() - 1] & allowed
+            packed += 1
+            if not mine or packed > k:
+                return None
+            while mine:
+                low = mine & -mine
+                rest &= ~holders[low.bit_length() - 1]
+                mine ^= low
+        degrees = [(h & unhit).bit_count() for h in holders]
+        if sum(sorted(degrees, reverse=True)[:k]) < unhit.bit_count():
             return None
         fewest, options = len(holders) + 1, 0
         rest = unhit
@@ -1341,15 +1345,12 @@ class _HittingSearch:
                     return None
                 fewest, options = count, mine
             rest ^= low
-        while options:
-            low = options & -options
-            e = low.bit_length() - 1
+        for e in sorted(elems_of(options), key=lambda x: -degrees[x]):
             self.budget.spend()
             if (found := self._hit(unhit & ~holders[e], k - 1, allowed)) is not None:
                 found.append(e)
                 return found
-            allowed ^= low
-            options ^= low
+            allowed &= ~(1 << e)
         return None
 
 

@@ -36,6 +36,12 @@ class TestHolders:
         for elems in ((), (0,), (0, 1, 63, 64, 127), (5, 200), tuple(range(0, 130, 3))):
             assert elems_of(mask_of(elems)) == elems
 
+    def test_elems_of_rejects_a_negative_mask(self):
+        # -1 has every bit set; the bit loop would never end on it
+        for mask in (-1, -2, -(1 << 70)):
+            with pytest.raises(ValueError, match="mask >= 0"):
+                elems_of(mask)
+
 
 class TestIntersecting:
     def test_fano_is_1_not_2(self, fano):

@@ -537,8 +537,8 @@ class TestNodeCounts:
         assert res.nodes <= 738
 
     def test_transversal_of_pg7(self):
-        # the packing bound is 1 on pairwise-intersecting lines; the
-        # degree-sum bound carries the search (2,396,821 nodes without it)
+        # the packing bound is 1 at the root on pairwise-intersecting lines;
+        # the degree-sum bound carries the search (2,396,821 nodes without it)
         res = min_transversal(build_pg(make_field(7, 1)).lines)
         assert res.value == 8 and res.nodes <= 77
 
@@ -554,7 +554,9 @@ class TestNodeCounts:
 
     def test_transversals_of_uniform_families(self):
         # 20 families of the benchmark's shape, 40 distinct 4-sets over 24
-        # points; 14,029 nodes before the search excluded tried siblings
+        # points; 14,029 nodes before the search excluded tried siblings,
+        # 5,339 before the packing counted allowed elements only and the
+        # children went in degree order
         total = 0
         for seed in range(20):
             fam = helpers.uniform_family(seed)
@@ -562,7 +564,7 @@ class TestNodeCounts:
             assert res.value_exact and not res.limits_hit
             assert all(m & mask_of(res.witness) for m in fam.sets)
             total += res.nodes
-        assert total <= 5339
+        assert total <= 3707
 
 
 class TestCertificationOverrun:
@@ -748,8 +750,71 @@ class TestMinTransversal:
         check()
         assert len(checked) >= 100
 
-    # 12 triples over 10 points: tau = 4 (the greedy bound), proven in 5
-    # nodes of the minimum search and certified lex-least in 2 more
+    def test_matches_naive_on_larger_families(self):
+        # 30 families of 20-30 random 3-sets over 14 points, past the 14
+        # members of test_matches_naive, where the child order has more
+        # room to pick which hitting set the search reaches first
+        for seed in range(30):
+            rng = random.Random(seed)
+            m = rng.randint(20, 30)
+            sets: set[int] = set()
+            while len(sets) < m:
+                sets.add(mask_of(rng.sample(range(14), 3)))
+            fam = SetFamily(ground=14, sets=tuple(sorted(sets)))
+            res = min_transversal(fam)
+            expected = helpers.naive_lex_least_transversal(fam)
+            assert (res.value, res.witness) == (len(expected), expected), seed
+            assert res.value_exact and not res.limits_hit
+
+    def test_bounds_prune_only_unhittable_nodes(self):
+        # a search with no nodes to spend returns None only where the
+        # root is pruned: by the packing over allowed elements, by the
+        # degree-sum bound, or by a member with no allowed element; every
+        # such node must hold no k allowed elements that hit all of
+        # unhit.  With nodes to spend, the search must find such a set
+        # exactly when the brute force does.
+        from itertools import combinations
+        by_bound = []
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+        @given(data=st.data())
+        def check(data):
+            ground = data.draw(st.integers(3, 12))
+            member = st.sets(st.integers(0, ground - 1), min_size=1, max_size=3).map(mask_of)
+            sets = data.draw(st.lists(member, min_size=4, max_size=16))
+            search = solvers._HittingSearch(tuple(sets), solvers._Budget(0))
+            unhit = data.draw(st.one_of(st.just(search.full), st.integers(1, search.full)))
+            # exclusion branching drops a few elements at a time
+            excluded = data.draw(st.sets(st.integers(0, ground - 1), max_size=3))
+            allowed = (1 << ground) - 1 & ~mask_of(excluded)
+            k = data.draw(st.integers(1, 3))
+            members = [search.sets[i] for i in elems_of(unhit)]
+            options = [e for e in range(ground) if allowed >> e & 1]
+            hittable = any(all(m & mask_of(pick) for m in members)
+                           for pick in combinations(options, min(k, len(options))))
+            try:
+                pruned = search._hit(unhit, k, allowed) is None
+            except solvers._BudgetExceeded:
+                pruned = False
+            if pruned:
+                assert not hittable, (sets, unhit, allowed, k)
+                if all(m & allowed for m in members):
+                    by_bound.append(k)
+            search.budget = solvers._Budget(10_000)
+            found = search._hit(unhit, k, allowed)
+            assert (found is not None) == hittable, (sets, unhit, allowed, k)
+            if found is not None:
+                picked = mask_of(found)
+                assert len(found) <= k and picked & ~allowed == 0
+                assert all(m & picked for m in members)
+
+        check()
+        # the bounds themselves pruned, not only a member with no allowed
+        # element, and also at k >= 2
+        assert len(by_bound) >= 50 and sum(k >= 2 for k in by_bound) >= 10
+
+    # 12 triples over 10 points: tau = 4 (the greedy bound), proven in 6
+    # nodes of the minimum search and certified lex-least in 1 more
     BUDGET_FAMILY = SetFamily.from_vertex_sets(10, [
         {3, 4, 5}, {4, 5, 6}, {1, 2, 7}, {2, 3, 7}, {1, 5, 7}, {0, 6, 7},
         {0, 2, 8}, {0, 4, 8}, {4, 5, 8}, {4, 5, 9}, {1, 6, 9}, {4, 8, 9}])
@@ -768,8 +833,8 @@ class TestMinTransversal:
         assert (full.value, full.witness, full.nodes) == (4, (0, 1, 2, 4), 7)
         # a budget the minimum search uses up: its value is exact, but the
         # witness is the minimum search's, not the certified lex-least one
-        res = min_transversal(fam, Limits(node_budget=5))
-        assert res.limits_hit and res.value_exact and res.nodes == 5
+        res = min_transversal(fam, Limits(node_budget=6))
+        assert res.limits_hit and res.value_exact and res.nodes == 6
         assert res.value == 4 and res.witness != full.witness
         assert len(res.witness) == 4 and all(mask & mask_of(res.witness) for mask in fam.sets)
 
