@@ -9,8 +9,8 @@ from .graphs import Graph, girth, make_cycle, make_random_tree, make_sun, make_t
 from .oracles import build_cycle_hm_family, build_sun_hm_family, \
     build_sun_star_family, hm_cycle_size, sun_allpaths_counts, sun_bound, theta_f, \
     theta_interior_star_size
-from .paths import PathFamily, PathSubgraph, enumerate_paths_all, enumerate_paths_r, \
-    enumerate_paths_upto, image_on_cycle, to_setfamily
+from .paths import PathFamily, enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
+    image_on_cycle, to_setfamily
 from .projective import FieldSpec, build_pg, make_field, rotational_family, \
     sqrt_char2, triangular_char2, triangular_odd
 from .solvers import Limits, SolveResult, enumerate_maximum_s_intersecting, \

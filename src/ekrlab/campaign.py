@@ -111,8 +111,13 @@ def _instances(cfg: CampaignConfig) -> Iterator[Graph]:
     }
     if cfg.kind not in grids:
         raise ValueError(f"unknown kind {cfg.kind!r}")
-    if cfg.check == "hm" and cfg.kind != "cycle":
-        raise ValueError(f"check hm runs on cycles only, got kind {cfg.kind!r}")
+    if cfg.check == "hm":
+        if cfg.kind != "cycle":
+            raise ValueError(f"check hm runs on cycles only, got kind {cfg.kind!r}")
+        if cfg.s != [1]:
+            raise ValueError(f"check hm runs at s = 1 only, got s = {','.join(map(str, cfg.s))}")
+        if cfg.mode != "uniform":
+            raise ValueError(f"check hm runs in uniform mode only, got mode {cfg.mode!r}")
     if cfg.kind == "theta" and not cfg.a:
         raise ValueError("theta campaigns need strand tuples under key 'a'")
     return (make_graph(cfg.kind, **params) for params in grids[cfg.kind])

@@ -11,15 +11,13 @@ from . import campaign as campaign_mod
 from .families import emit_family, parse_family
 from .graphs import GraphError, ParseError, emit_graph, make_cycle, make_graph, \
     parse_graph
-from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
-    to_setfamily
 from .projective import FieldError, build_pg, emit_pg_map, field_of_order, \
     triangular_char2, triangular_odd
 from .oracles import SUN_VARIANTS
 from .solvers import DEFAULT_LIMITS, Limits, helly_triple_check, max_intersecting_sperner, \
     max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
     min_transversal
-from .verdicts import MODES, Verdict, check_ekr, check_hm
+from .verdicts import MODES, Verdict, build_family, check_ekr, check_hm
 
 
 def _write(text: str, out: str | None) -> None:
@@ -45,17 +43,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    """argparse takes exactly one of --r, --upto and --all."""
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
     if args.all:
-        fam = enumerate_paths_all(g)
+        mode, size = "all-paths", None
     elif args.upto is not None:
-        fam = enumerate_paths_upto(g, args.upto)
+        mode, size = "upto", args.upto
     else:
-        if args.r is None:
-            raise GraphError("need one of --r, --upto, --all")
-        fam = enumerate_paths_r(g, args.r)
-    _write(emit_family(to_setfamily(fam)), args.out)
+        mode, size = "uniform", args.r
+    _write(emit_family(build_family(g, mode, size)), args.out)
     return 0
 
 
@@ -185,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="enumerate paths of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--upto", type=int)
-    p.add_argument("--all", action="store_true")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--r", type=int)
+    size.add_argument("--upto", type=int)
+    size.add_argument("--all", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_paths)
 

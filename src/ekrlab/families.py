@@ -45,7 +45,7 @@ def holder_masks(elems: Sequence[tuple[int, ...]]) -> list[int]:
     return holders
 
 
-def duplicate_note(masks: list[int]) -> str | None:
+def duplicate_note(masks: Sequence[int]) -> str | None:
     """The note of a family of path vertex sets (sorted masks): how many
     members repeat the vertex set of the one before, or None."""
     dup = sum(a == b for a, b in zip(masks, masks[1:]))

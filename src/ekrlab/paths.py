@@ -1,9 +1,10 @@
-"""Enumeration of simple paths as canonical, deduplicated subgraphs.
+"""Enumeration of simple paths as vertex masks.
 
-A path is identified by its subgraph (vertex set plus edge set); the
-canonical form of a sequence is the lexicographically smaller of itself
-and its reversal.  Intersection semantics downstream is always on vertex
-sets.
+A path is one subgraph (vertex set plus edge set), walked once from its
+smaller end; downstream code compares paths only through their vertex
+sets, so the walk keeps each path as its vertex mask.  Distinct paths
+may share a vertex set (the spanning paths of a cycle do), and each is
+kept.
 """
 
 from __future__ import annotations
@@ -17,32 +18,11 @@ MAX_GROUND = 128
 
 
 @dataclass(frozen=True)
-class PathSubgraph:
-    """A simple path: canonical vertex sequence plus vertex bit mask."""
-
-    seq: tuple[int, ...]
-    mask: int
-
-    @classmethod
-    def from_seq(cls, seq: tuple[int, ...]) -> "PathSubgraph":
-        rev = seq[::-1]
-        canon = seq if seq <= rev else rev
-        mask = 0
-        for v in canon:
-            mask |= 1 << v
-        return cls(seq=canon, mask=mask)
-
-    @property
-    def r(self) -> int:
-        return len(self.seq)
-
-
-@dataclass(frozen=True)
 class PathFamily:
-    """Deduplicated path subgraphs of one host graph, in sorted order."""
+    """The vertex masks of one host graph's paths, one per path, sorted."""
 
     host: Graph
-    paths: tuple[PathSubgraph, ...]
+    paths: tuple[int, ...]
     r: int | None = None
     upto: int | None = None
 
@@ -66,32 +46,30 @@ def _check_ground(g: Graph) -> None:
         raise GraphError(f"ground set capped at {MAX_GROUND} vertices, got {g.n}")
 
 
-def _walk(g: Graph, lo: int, hi: int) -> tuple[PathSubgraph, ...]:
-    """Every simple path on lo..hi vertices, one per subgraph, sorted by
-    sequence.
+def _walk(g: Graph, lo: int, hi: int) -> tuple[int, ...]:
+    """The vertex mask of every simple path on lo..hi vertices, one per
+    path, sorted.
 
     One depth-first search from every start vertex, cut at hi vertices.
     A path is kept only as the walk that starts at its smaller end (a
-    single vertex as it is): that sequence is already its canonical
-    form, and the mask of used vertices is its vertex set.
+    single vertex as it is), and the mask of used vertices is its vertex
+    set.
     """
     neighbors = g.neighbors
-    found: list[PathSubgraph] = []
+    found: list[int] = []
 
-    def extend(seq: list[int], used: int) -> None:
-        if len(seq) >= lo and (len(seq) == 1 or seq[0] < seq[-1]):
-            found.append(PathSubgraph(seq=tuple(seq), mask=used))
-        if len(seq) == hi:
+    def extend(start: int, last: int, length: int, used: int) -> None:
+        if length >= lo and (length == 1 or start < last):
+            found.append(used)
+        if length == hi:
             return
-        for w in neighbors[seq[-1]]:
+        for w in neighbors[last]:
             if not (used >> w) & 1:
-                seq.append(w)
-                extend(seq, used | (1 << w))
-                seq.pop()
+                extend(start, w, length + 1, used | (1 << w))
 
     for start in range(g.n):
-        extend([start], 1 << start)
-    found.sort(key=lambda p: p.seq)
+        extend(start, start, 1, 1 << start)
+    found.sort()
     return tuple(found)
 
 
@@ -123,29 +101,26 @@ def enumerate_paths_all(g: Graph) -> PathFamily:
 def to_setfamily(pf: PathFamily) -> SetFamily:
     """Project paths to their vertex sets.
 
-    Distinct subgraphs sharing a vertex set (spanning paths of a cycle do
+    Distinct paths sharing a vertex set (spanning paths of a cycle do
     this) are all kept as members, and the collision is recorded in the
     family's note.  The host's automorphism generators map paths to
     paths, so they become the family's symmetry, and a sun's pendant
     swaps its swaps.
     """
-    masks = sorted(p.mask for p in pf.paths)
-    return SetFamily(ground=pf.host.n, sets=tuple(masks), name=pf.name,
-                     note=duplicate_note(masks), symmetry=automorphism_generators(pf.host),
+    return SetFamily(ground=pf.host.n, sets=pf.paths, name=pf.name,
+                     note=duplicate_note(pf.paths), symmetry=automorphism_generators(pf.host),
                      swaps=pendant_swaps(pf.host))
 
 
-def image_on_cycle(p: PathSubgraph, g: Graph) -> PathSubgraph | None:
-    """Restriction of a sun path to the cycle: a path, or None when empty."""
+def image_on_cycle(seq: tuple[int, ...], g: Graph) -> tuple[int, ...] | None:
+    """Restriction of a sun path, given by its vertex sequence, to the
+    cycle: the canonical sequence min(core, core[::-1]) of the path that
+    is left, or None when it is empty."""
     if g.kind != "sun":
         raise GraphError(f"image is defined on suns, got kind={g.kind!r}")
+    if any(not 0 <= v < g.n for v in seq) or len(set(seq)) < len(seq) \
+            or not all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+        raise GraphError("sequence is not a path of this host graph")
     t = g.meta["t"]
-    for a, b in zip(p.seq, p.seq[1:]):
-        if not g.has_edge(a, b):
-            raise GraphError("path does not live on this host graph")
-    if any(v >= g.n for v in p.seq):
-        raise GraphError("path does not live on this host graph")
-    core = tuple(v for v in p.seq if v % (t + 1) == 0)
-    if not core:
-        return None
-    return PathSubgraph.from_seq(core)
+    core = tuple(v for v in seq if v % (t + 1) == 0)
+    return min(core, core[::-1]) if core else None

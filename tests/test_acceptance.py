@@ -90,8 +90,7 @@ def test_criterion_02_sun_s_ekr():
             g = make_sun(n, t)
             for s in (1, 2):
                 for r in range(s + 2, (n + s - 1) // 2 + 1):
-                    paths = enumerate_paths_r(g, r)
-                    fam = to_setfamily(paths)
+                    fam = to_setfamily(enumerate_paths_r(g, r))
                     res = enumerate_maximum_s_intersecting(fam, s)
                     assert not res.limits_hit
                     bound = sun_bound(n, t, r, s, variant="squared").value
@@ -105,9 +104,10 @@ def test_criterion_02_sun_s_ekr():
                         # v as an interior vertex share v and one neighbour:
                         # F_v is 2-intersecting, as large as the 2-star, and
                         # its members share only v
+                        walks = helpers.naive_paths(g, r, r)
                         interior = {tuple(sorted(
-                            p.mask for p in paths.paths
-                            if sun_vertex(c, 0, t) in p.seq[1:-1]))
+                            mask for seq, mask in walks
+                            if sun_vertex(c, 0, t) in seq[1:-1]))
                             for c in range(n)}
                         if nonstar != interior:
                             failures.append(

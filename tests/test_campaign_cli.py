@@ -168,7 +168,10 @@ class TestRunCampaign:
         CampaignConfig(kind="wheel", n=[6]),
         CampaignConfig(kind="sun", check="hm", n=[6], t=[1]),
         CampaignConfig(kind="theta"),
-    ], ids=["unknown-kind", "hm-off-cycles", "theta-without-strands"])
+        CampaignConfig(kind="cycle", check="hm", n=[10], s=[1, 2, 3]),
+        CampaignConfig(kind="cycle", check="hm", n=[10], mode="upto"),
+    ], ids=["unknown-kind", "hm-off-cycles", "theta-without-strands", "hm-with-s",
+            "hm-with-mode"])
     def test_bad_config_raises_before_any_verdict(self, monkeypatch, cfg):
         log = self._logged(monkeypatch)
         with pytest.raises(ValueError):
@@ -218,6 +221,20 @@ class TestCli:
         for flags, count in ((["--all"], 36), (["--upto", "2"], 12)):
             assert main(["paths", "--graph", str(gfile), *flags, "--out", str(ffile)]) == 0
             assert len(parse_family(ffile.read_text())) == count
+
+    @pytest.mark.parametrize("flags", [["--r", "3", "--all"], ["--r", "3", "--upto", "2"],
+                                       ["--upto", "2", "--all"], []])
+    def test_paths_takes_exactly_one_size(self, flags, tmp_path, capsys):
+        # argparse rejects the call with exit code 2 before any path is
+        # walked; --r 3 --all used to write all 36 paths of cycle(6)
+        gfile = tmp_path / "c6.txt"
+        ffile = tmp_path / "paths.txt"
+        assert main(["gen", "--kind", "cycle", "--n", "6", "--out", str(gfile)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["paths", "--graph", str(gfile), *flags, "--out", str(ffile)])
+        assert exc.value.code == 2
+        assert not ffile.exists()
+        assert "--r" in capsys.readouterr().err
 
     def test_paths_and_solve(self, tmp_path):
         gfile = tmp_path / "c8.txt"
@@ -426,6 +443,11 @@ class TestCli:
         ("kind = theta\na = 2,3,3\ncheck = hm\n",
          "check hm runs on cycles only, got kind 'theta'"),
         ("kind = sun\ncheck = hm\n", "check hm runs on cycles only, got kind 'sun'"),
+        # check_hm fixes s = 1 and the uniform mode, so another s or mode
+        # would repeat its points or go unrun
+        ("check = hm\nn = 10\ns = 1,2,3\n", "check hm runs at s = 1 only, got s = 1,2,3"),
+        ("check = hm\nn = 10\nmode = upto\n",
+         "check hm runs in uniform mode only, got mode 'upto'"),
     ])
     def test_campaign_grid_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

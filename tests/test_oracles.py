@@ -1,5 +1,6 @@
 import pytest
 
+import helpers
 from ekrlab.families import full_star, is_s_intersecting, is_s_star, mask_of, stats
 from ekrlab.graphs import GraphError, girth, make_sun, make_theta, sun_vertex
 from ekrlab.oracles import build_cycle_hm_family, build_sun_hm_family, \
@@ -130,7 +131,9 @@ class TestSunAllPathsCounts:
         g = make_sun(n, t)
         pf = enumerate_paths_all(g)
         counts = sun_allpaths_counts(n, t)
-        lifted = sum(1 for p in pf.paths if image_on_cycle(p, g) is not None)
+        walks = helpers.naive_paths(g, 1, g.n)
+        assert len(pf) == len(walks)
+        lifted = sum(1 for seq, _ in walks if image_on_cycle(seq, g) is not None)
         assert lifted == counts["total"]
         # the best star sits at a cycle vertex and matches the formula
         assert stats(to_setfamily(pf)).delta == counts["star"]
@@ -213,7 +216,8 @@ class TestBuildSunHm:
         assert len(fam) == sun_allpaths_counts(n, t)["hm"]
         # every member is a real path of the sun and its image avoids
         # nothing outside the swapped star
-        enum = {p.mask for p in enumerate_paths_all(g).paths}
+        enum = set(enumerate_paths_all(g).paths)
+        assert enum == {mask for _, mask in helpers.naive_paths(g, 1, g.n)}
         assert all(mask in enum for mask in fam.sets)
 
 

@@ -3,8 +3,8 @@ import pytest
 import helpers
 from ekrlab.graphs import Graph, GraphError, make_cycle, make_random_tree, make_sun, \
     make_theta
-from ekrlab.paths import PathSubgraph, enumerate_paths_all, enumerate_paths_r, \
-    enumerate_paths_upto, image_on_cycle, to_setfamily
+from ekrlab.paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
+    image_on_cycle, to_setfamily
 
 
 class TestEnumerateUniform:
@@ -61,21 +61,21 @@ WALK_HOSTS = ([make_cycle(n) for n in (3, 4, 7, 10)]
               + [DISCONNECTED])
 
 
-def _listed(pf):
-    return [(p.seq, p.mask) for p in pf.paths]
+def _naive_masks(g, lo, hi):
+    return tuple(sorted(mask for _, mask in helpers.naive_paths(g, lo, hi)))
 
 
 class TestAgainstNaiveWalk:
-    """The full (sequence, mask) lists of the three enumerators against
-    the set-based walk in helpers."""
+    """The full mask lists of the three enumerators, one mask per path,
+    against the set-based walk in helpers."""
 
     @pytest.mark.parametrize("g", WALK_HOSTS, ids=lambda g: f"{g.kind}{g.meta}-n{g.n}")
     def test_every_family(self, g):
         for r in range(1, g.n + 1):
-            assert _listed(enumerate_paths_r(g, r)) == helpers.naive_paths(g, r, r)
+            assert enumerate_paths_r(g, r).paths == _naive_masks(g, r, r)
         for k in (1, 2, g.n, g.n + 3):
-            assert _listed(enumerate_paths_upto(g, k)) == helpers.naive_paths(g, 1, k)
-        assert _listed(enumerate_paths_all(g)) == helpers.naive_paths(g, 1, g.n)
+            assert enumerate_paths_upto(g, k).paths == _naive_masks(g, 1, k)
+        assert enumerate_paths_all(g).paths == _naive_masks(g, 1, g.n)
 
     def test_no_vertices(self):
         empty = Graph(n=0, edges=frozenset())
@@ -93,34 +93,28 @@ class TestAgainstNaiveWalk:
 class TestCanonicalForm:
     def test_sorted_and_canonical(self):
         fam = enumerate_paths_r(make_sun(5, 1), 4)
-        seqs = [p.seq for p in fam.paths]
-        assert seqs == sorted(seqs)
-        for p in fam.paths:
-            assert p.seq <= p.seq[::-1]
-            assert p.mask.bit_count() == len(p.seq)
+        assert list(fam.paths) == sorted(fam.paths)
+        assert all(mask.bit_count() == 4 for mask in fam.paths)
 
     def test_no_duplicate_subgraphs(self):
+        # each path once, not once per end: the 4 spanning paths of the
+        # 4-cycle share its vertex set and are kept 4 times, not 8
         fam = enumerate_paths_all(make_sun(4, 2))
-        keyed = {(p.seq, p.mask) for p in fam.paths}
-        assert len(keyed) == len(fam.paths)
+        cycle = sum(1 << (3 * i) for i in range(4))
+        assert fam.paths.count(cycle) == 4
+        assert len(fam.paths) == len(helpers.naive_paths(make_sun(4, 2), 1, 12))
 
     def test_enumeration_ignores_edge_presentation_order(self):
         g1 = make_theta((2, 3, 3))
         shuffled = Graph(n=g1.n, edges=frozenset(sorted(g1.edges, reverse=True)),
                          kind="theta", labels=g1.labels, meta=g1.meta)
-        a = [p.seq for p in enumerate_paths_r(g1, 4).paths]
-        b = [p.seq for p in enumerate_paths_r(shuffled, 4).paths]
-        assert a == b
+        assert enumerate_paths_r(g1, 4).paths == enumerate_paths_r(shuffled, 4).paths
 
     def test_partitioned_starts_merge_to_same_family(self):
-        # concurrent-partition contract: per-start enumeration merged and
-        # sorted equals the single pass
-        g = make_sun(4, 1)
-        fam = enumerate_paths_r(g, 3)
-        merged = set()
-        for p in fam.paths:
-            merged.add(p.seq)
-        assert sorted(merged) == [p.seq for p in fam.paths]
+        # the 3-paths of sun(4,1) have distinct vertex sets, so the sorted
+        # masks hold each once
+        fam = enumerate_paths_r(make_sun(4, 1), 3)
+        assert sorted(set(fam.paths)) == list(fam.paths)
 
 
 class TestUpto:
@@ -170,24 +164,26 @@ class TestImageOnCycle:
     def test_strip_pendants(self):
         g = make_sun(4, 1)
         # v_0^1 v_0^0 v_1^0 v_1^1 under the id layout i*(t+1)+j
-        p = PathSubgraph.from_seq((1, 0, 2, 3))
-        im = image_on_cycle(p, g)
-        assert im.seq == (0, 2)
+        assert image_on_cycle((1, 0, 2, 3), g) == (0, 2)
+        assert image_on_cycle((3, 2, 0, 1), g) == (0, 2)
 
     def test_identity_on_cycle_paths(self):
         g = make_sun(5, 1)
-        p = PathSubgraph.from_seq((0, 2, 4))
-        assert image_on_cycle(p, g) == p
+        assert image_on_cycle((0, 2, 4), g) == (0, 2, 4)
+        assert image_on_cycle((4, 2, 0), g) == (0, 2, 4)
 
     def test_pendant_singleton_empty(self):
         g = make_sun(4, 2)
-        assert image_on_cycle(PathSubgraph.from_seq((1,)), g) is None
+        assert image_on_cycle((1,), g) is None
 
     def test_host_mismatch(self):
         with pytest.raises(GraphError):
-            image_on_cycle(PathSubgraph.from_seq((0, 5)), make_sun(4, 1))
+            image_on_cycle((0, 5), make_sun(4, 1))
         with pytest.raises(GraphError):
-            image_on_cycle(PathSubgraph.from_seq((0, 1)), make_cycle(4))
+            image_on_cycle((0, 1), make_cycle(4))
+        # a walk that comes back to a vertex is not a path
+        with pytest.raises(GraphError):
+            image_on_cycle((0, 2, 0), make_sun(4, 1))
 
     @pytest.mark.parametrize("n,t", [(4, 1), (5, 2), (6, 1), (7, 2), (8, 1), (8, 2)])
     def test_lift_counts_and_contiguity(self, n, t):
@@ -197,15 +193,17 @@ class TestImageOnCycle:
         g = make_sun(n, t)
         counts: Counter = Counter()
         empties = 0
-        for p in enumerate_paths_all(g).paths:
-            im = image_on_cycle(p, g)
+        for seq, _ in helpers.naive_paths(g, 1, g.n):
+            im = image_on_cycle(seq, g)
             if im is None:
                 empties += 1
             else:
-                # the restriction is itself a path, never disconnected
-                for a, b in zip(im.seq, im.seq[1:]):
+                # the restriction is itself a path, never disconnected,
+                # given in its canonical direction
+                assert im <= im[::-1]
+                for a, b in zip(im, im[1:]):
                     assert g.has_edge(a, b)
-                counts[im.seq] += 1
+                counts[im] += 1
         for seq, c in counts.items():
             expected = comb(t + 1, 2) + 1 if len(seq) == 1 else (t + 1) ** 2
             assert c == expected
