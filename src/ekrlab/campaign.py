@@ -1,9 +1,9 @@
 """Parameter-grid campaigns over the verdict engine, with reproducible
 machine-readable reports.
 
-Config files are flat key = value text; ranges use 'a..b', lists use
-commas, theta strand tuples are comma-separated ints joined by
-semicolons.  Grid points outside generator preconditions are skipped
+Config files are flat key = value text; ranges use 'a..b' with a <= b,
+lists use commas, theta strand tuples are comma-separated ints joined
+by semicolons.  Grid points outside generator preconditions are skipped
 with a recorded reason.  A campaign exits with the gravest of its
 verdicts' exit codes (Verdict.exit_code): 2 when any verdict has an
 oracle-vs-brute mismatch or a failed construction predicate, otherwise 3
@@ -60,8 +60,11 @@ def _parse_ints(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split(".."))
+            if hi < lo:
+                # an empty range would run no point and pass as a clean campaign
+                raise ValueError(f"range {part!r} is empty: {hi} < {lo}")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     return out

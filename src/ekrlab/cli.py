@@ -17,7 +17,8 @@ from .oracles import SUN_VARIANTS
 from .solvers import DEFAULT_LIMITS, Limits, helly_triple_check, max_intersecting_sperner, \
     max_nonstar_s_intersecting, max_s_intersecting, max_triangular_intersecting, \
     min_transversal
-from .verdicts import MODES, Verdict, build_family, check_ekr, check_hm
+from .verdicts import EXIT_CLEAN, EXIT_LIMITS, MODES, Verdict, build_family, check_ekr, \
+    check_hm
 
 
 def _write(text: str, out: str | None) -> None:
@@ -59,7 +60,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     with open(args.family) as fh:
         fam = parse_family(fh.read())
-    limits = Limits(node_budget=args.limit_nodes, optima_cap=args.optima_cap)
+    limits = _limits(args)
     if args.op == "max-intersecting":
         res = max_s_intersecting(fam, args.s, limits)
     elif args.op == "nonstar":
@@ -93,21 +94,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if res.uniform_optima is not None:
         payload["uniform_optima"] = res.uniform_optima
     _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 3 if res.limits_hit else 0
+    return EXIT_LIMITS if res.limits_hit else EXIT_CLEAN
 
 
 def _cmd_check_ekr(args: argparse.Namespace) -> int:
     g = _graph_from_args(args)
-    limits = Limits(node_budget=args.limit_nodes, optima_cap=args.optima_cap)
     size = None if args.mode == "all-paths" else (args.k if args.mode == "upto" else args.r)
-    verdict = check_ekr(g, args.mode, size, args.s, limits,
+    verdict = check_ekr(g, args.mode, size, args.s, _limits(args),
                         sun_variant=args.sun_variant)
     return _emit_verdict(verdict, args.out)
 
 
 def _cmd_check_hm(args: argparse.Namespace) -> int:
-    limits = Limits(node_budget=args.limit_nodes, optima_cap=args.optima_cap)
-    return _emit_verdict(check_hm(make_cycle(args.n), args.r, limits), args.out)
+    return _emit_verdict(check_hm(make_cycle(args.n), args.r, _limits(args)), args.out)
 
 
 def _emit_verdict(verdict: Verdict, out: str | None) -> int:
@@ -158,6 +157,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return summary["exit_code"]
 
 
+def _add_limit_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--limit-nodes", type=int, default=DEFAULT_LIMITS.node_budget)
+    p.add_argument("--optima-cap", type=int, default=DEFAULT_LIMITS.optima_cap)
+
+
+def _limits(args: argparse.Namespace) -> Limits:
+    """The Limits that the flags of _add_limit_args give."""
+    return Limits(node_budget=args.limit_nodes, optima_cap=args.optima_cap)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ekrlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -170,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=str, default="",
                        help="theta strand lengths, e.g. 2,3,3")
         p.add_argument("--seed", type=int, default=0)
-
-    def add_limit_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--limit-nodes", type=int, default=DEFAULT_LIMITS.node_budget)
-        p.add_argument("--optima-cap", type=int, default=DEFAULT_LIMITS.optima_cap)
 
     p = sub.add_parser("gen", help="write a graph in the text format")
     add_graph_args(p)
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("max-intersecting", "nonstar", "transversal",
                             "triangular", "sperner", "helly"))
     p.add_argument("--s", type=int, default=1)
-    add_limit_args(p)
+    _add_limit_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -206,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--sun-variant", default="squared", choices=SUN_VARIANTS)
-    add_limit_args(p)
+    _add_limit_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_ekr)
 
     p = sub.add_parser("check-hm", help="maximum non-star verdict on a cycle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    add_limit_args(p)
+    _add_limit_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_hm)
 

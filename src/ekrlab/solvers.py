@@ -65,7 +65,9 @@ takes or drops a whole class at a time, so it is the lex-least optimum.
 Optima enumeration is a single pass: it starts from the weight of a
 known clique and collects every maximum clique while its threshold
 rises, so it runs no separate maximum search (its witness is certified
-when the list is capped).
+when the list is capped).  An enumeration with an optima cap of 0 is
+the maximum search.  One routine (_solved) runs either pass and builds the result
+of every clique solver, overruns and certification included.
 
 Every clique search also uses the family's known symmetry.  Path
 families carry the generators of their host's automorphism group (cycle:
@@ -152,7 +154,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import and_
 
@@ -710,7 +712,10 @@ class _CliqueSearch:
     (_Containing), or is None when the search has none.
 
     One recursive loop, _collect, branches for maximum(),
-    enumerate_exact() and the decision passes of lex_least().  _collect
+    enumerate_exact() and the decision passes of lex_least().  maximum()
+    starts from a floor clique that its caller gives, a budget overrun
+    propagates out of every pass, and _solved turns the passes into a
+    solver's result.  _collect
     carries the hook's state, the generators of the group in force at
     the node and the mask of its swaps: while there are any it branches
     on orbits, and a node whose group is trivial gets () and 0.  With
@@ -750,25 +755,21 @@ class _CliqueSearch:
         # no clique that counts weighs more, so none is grown past it
         self._ceiling = len(self.graph.pos)
 
-    def maximum(self, seed: tuple[int, int] | None = None) -> tuple[int, tuple[int, ...], bool]:
-        """(weight, clique as ascending quotient vertices, limits_hit) of
-        a heaviest clique that counts; partial best survives a budget
-        overrun.  seed is a known clique (weight, quotient mask) used as
-        a warm lower bound.  The collecting pass with cap 0, holding the
-        warm clique and closing nothing: it prunes on <= best, and only
-        a heavier clique replaces the one held."""
-        weight, mask = self._greedy_seed(seed)
-        self._start(weight, [elems_of(mask)], 0, False)
-        try:
-            self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens, self.swaps)
-        except _BudgetExceeded:
-            return self.best, self.found[0], True
-        return self.best, self.found[0], False
+    def maximum(self, floor: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+        """(weight, clique as ascending quotient vertices) of a heaviest
+        clique that counts, from a known clique floor (weight, quotient
+        mask) held as a warm lower bound.  The collecting pass with cap 0,
+        holding the floor clique and closing nothing: it prunes on <= best,
+        and only a heavier clique replaces the one held.  A budget overrun
+        propagates, with the heaviest clique so far in found[0]."""
+        self._start(floor[0], [elems_of(floor[1])], 0, False)
+        self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens, self.swaps)
+        return self.best, self.found[0]
 
     def _greedy_seed(self, seed: tuple[int, int] | None = None) -> tuple[int, int]:
         """The heavier of seed and a degree-greedy clique (degrees
-        counting members) as (weight, quotient mask); a warm lower bound
-        for the search.  The greedy takes only candidates the hook keeps,
+        counting members) as (weight, quotient mask); a floor for the
+        search.  The greedy takes only candidates the hook keeps,
         and its clique is its heaviest prefix that counts ((0, 0) when
         none does)."""
         adj, weight, degree, hook = self.adj, self.weight, self.graph.degree, self.hook
@@ -853,10 +854,10 @@ class _CliqueSearch:
         threshold moves up as heavier cliques turn up: cliques of the
         current best weight are collected, and a heavier one resets the
         list.  Once more than cap are held, only a heavier clique can
-        matter, so the search prunes on <= best until one turns up; with
-        cap 0 and a clique held from the start that is maximum().  On a
-        budget overrun the partial state stays in best and found
-        (quotient vertices).
+        matter, so the search prunes on <= best until one turns up, as
+        maximum() does from the start; with cap 0 the enumeration is
+        maximum(), which _solved runs instead.  On a budget overrun the
+        partial state stays in best and found (quotient vertices).
 
         With a group the pass branches on orbits and closes what it
         collects under the group.  Once that holds more than cap optima
@@ -1105,76 +1106,69 @@ def _cut(budget: _Budget, value: int, witness: tuple[int, ...],
                        value_exact=value_exact, **fields)
 
 
-def _certified(budget: _Budget, value: int, certify: Callable[[], tuple[int, ...]],
-               fallback: tuple[int, ...], limits_hit: bool = False,
-               **fields) -> SolveResult:
-    """The result of an exact value whose witness certify() certifies; an
-    overrun in the certification leaves the fallback witness."""
-    try:
-        witness = certify()
-    except _BudgetExceeded:
-        return _cut(budget, value, fallback, True, **fields)
-    return SolveResult(value=value, witness=witness, nodes=budget.used,
-                       limits_hit=limits_hit, **fields)
+def _solved(search: _CliqueSearch, floor: tuple[int, int], cap: int | None = None,
+            exact_floor: bool = False) -> SolveResult:
+    """Every clique solver's result, from a known clique floor (weight,
+    quotient mask).  Without a cap, or with cap 0, the search is
+    maximum(); with a cap above 0 it is enumerate_exact() from the
+    floor's weight, after maximum() when exact_floor asks for an exact
+    floor.  A witness not read off a complete optima list is the
+    lex-least optimum, certified by lex_least().
 
-
-def _certified_maximum(search: _CliqueSearch, seed: tuple[int, int] | None = None) -> SolveResult:
-    """maximum() and then the lex-least certification of its value; on a
-    budget overrun the best clique found so far is the witness."""
-    value, clique, hit = search.maximum(seed)
-    partial_witness = search.graph.expand(clique)
-    if hit:
-        return _cut(search.budget, value, partial_witness)
-    return _certified(search.budget, value, partial(search.lex_least, value), partial_witness)
-
-
-def _enumerated(search: _CliqueSearch, floor: tuple[int, int], cap: int) -> SolveResult:
-    """enumerate_exact() from a known clique floor (weight, quotient
-    mask); a capped list is a sample, so its witness is certified."""
+    A budget overrun keeps the clique held: the maximum's clique once
+    maximum() has returned (the value is then exact); before that the
+    first clique collected, then the floor while it weighs best, then
+    the clique enumerate_exact() held from its closing pass; in the
+    certification of a capped sample, its least clique."""
     graph, budget = search.graph, search.budget
+    weight, clique = floor[0], None
     try:
-        optima, capped = search.enumerate_exact(floor[0], cap)
+        if exact_floor or not cap:
+            weight, clique = search.maximum(floor)
+        if cap:
+            optima, capped = search.enumerate_exact(weight, cap)
     except _BudgetExceeded:
-        # the floor clique while it weighs best; past it, the clique held
-        # from the closing pass until the sample pass finds one
-        best = search.found[0] if search.found else \
-            elems_of(floor[1]) if search.best == floor[0] else search.held
-        return _cut(budget, search.best, graph.expand(best))
-    if not capped:
-        return SolveResult(value=search.best, witness=optima[0] if optima else (),
-                           all_optima=tuple(optima), nodes=budget.used)
-    return _certified_sample(search, optima)
-
-
-def _certified_sample(search: _CliqueSearch, optima: list[tuple[int, ...]]) -> SolveResult:
-    """A capped optima list is only a sample, so its witness is the
-    certified lex-least optimum; on an overrun, the least clique the
-    sample pass collected: the first cap of them are the sorted optima,
-    and one more passed the cap."""
-    fallback = min(optima[:1] + [search.graph.expand(search.found[-1])])
-    return _certified(search.budget, search.best, partial(search.lex_least, search.best),
-                      fallback, True, all_optima=tuple(optima))
+        exact = clique is not None
+        if not exact:
+            clique = search.found[0] if search.found else \
+                elems_of(floor[1]) if search.best == weight else search.held
+        return _cut(budget, search.best, graph.expand(clique), exact)
+    value = search.best
+    listed = None if cap is None else tuple(optima) if cap else ()
+    if cap and not capped:
+        return SolveResult(value=value, witness=optima[0] if optima else (),
+                           all_optima=listed, nodes=budget.used)
+    # a capped sample: the first cap of the sorted optima, and one more
+    held = min(optima[:1] + [graph.expand(search.found[-1])]) if cap else graph.expand(clique)
+    try:
+        witness = search.lex_least(value)
+    except _BudgetExceeded:
+        return _cut(budget, value, held, True, all_optima=listed)
+    return SolveResult(value=value, witness=witness, all_optima=listed, nodes=budget.used,
+                       limits_hit=cap is not None)
 
 
 def max_s_intersecting(fam: SetFamily, s: int,
                        limits: Limits = DEFAULT_LIMITS) -> SolveResult:
     """Largest s-intersecting subfamily, with a lex-least witness."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, containing=True)
-    return _certified_maximum(search, seed=_star_seed(fam, s, graph))
+    return _s_intersecting(fam, s, limits, None)
 
 
 def enumerate_maximum_s_intersecting(fam: SetFamily, s: int,
                                      limits: Limits = DEFAULT_LIMITS) -> SolveResult:
-    """All maximum s-intersecting subfamilies (capped), sorted."""
+    """All maximum s-intersecting subfamilies (capped), sorted; with
+    optima cap 0 it is max_s_intersecting, listing none."""
+    return _s_intersecting(fam, s, limits, limits.optima_cap)
+
+
+def _s_intersecting(fam: SetFamily, s: int, limits: Limits, cap: int | None) -> SolveResult:
+    """The s-intersecting search, from the largest full s-star or the
+    greedy clique."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
     search = _search(graph, fam, limits, containing=True)
-    return _enumerated(search, search._greedy_seed(_star_seed(fam, s, graph)),
-                       limits.optima_cap)
+    return _solved(search, search._greedy_seed(_star_seed(fam, s, graph)), cap)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -1194,9 +1188,9 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     graph = _compat_quotient(fam, s)
     search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), containing=True)
     if enumerate_optima:
-        res = _enumerated(search, (0, 0), limits.optima_cap)
+        res = _solved(search, (0, 0), limits.optima_cap)
     else:
-        res = _certified_maximum(search)
+        res = _solved(search, search._greedy_seed())
     if res.value == 0 and res.value_exact:
         return SolveResult(value=0, witness=(), nodes=res.nodes, infeasible=True)
     return res
@@ -1229,7 +1223,11 @@ def min_transversal(fam: SetFamily, limits: Limits = DEFAULT_LIMITS) -> SolveRes
         search.minimum()
     except _BudgetExceeded:
         return _cut(budget, search.best, search.best_set)
-    return _certified(budget, search.best, search.lex_least, search.best_set)
+    try:
+        witness = search.lex_least()
+    except _BudgetExceeded:
+        return _cut(budget, search.best, search.best_set, True)
+    return SolveResult(value=search.best, witness=witness, nodes=budget.used)
 
 
 class _HittingSearch:
@@ -1365,31 +1363,25 @@ def max_triangular_intersecting(fam: SetFamily, s: int = 1,
     graph = _Quotient(adj, [[v] for v in range(len(adj))],
                       [row.bit_count() for row in adj])
     search = _search(graph, fam, limits, _DegreeCapHook(graph, fam.sets))
-    return _certified_maximum(search)
+    return _solved(search, search._greedy_seed())
 
 
 def max_intersecting_sperner(fam: SetFamily,
                              limits: Limits = DEFAULT_LIMITS) -> SolveResult:
     """Largest subfamily that is intersecting and an antichain; reports
-    whether every optimum is uniform."""
+    whether every optimum is uniform.  The optima are enumerated from
+    the maximum as an exact floor: from the greedy floor the closing pass
+    overflows the cap, and all paths of sun(8,1) take 50,697 nodes, not
+    1,402."""
     sets = fam.sets
     graph = _twin_quotient(_sperner_rows(fam.elems, fam.holders), fam.elems, _sperner_rows,
                            by_degree=False)
     search = _search(graph, fam, limits)
-    budget = search.budget
-    value, clique, hit = search.maximum()
-    partial_witness = graph.expand(clique)
-    if hit:
-        return _cut(budget, value, partial_witness)
-    try:
-        optima, capped = search.enumerate_exact(value, limits.optima_cap)
-    except _BudgetExceeded:
-        return _cut(budget, value, partial_witness, True)
-    if capped:
-        return _certified_sample(search, optima)
-    uniform = all(len({sets[i].bit_count() for i in opt}) <= 1 for opt in optima)
-    return SolveResult(value=value, witness=optima[0] if optima else (),
-                       all_optima=tuple(optima), nodes=budget.used, uniform_optima=uniform)
+    res = _solved(search, search._greedy_seed(), limits.optima_cap, exact_floor=True)
+    if res.limits_hit:
+        return res
+    uniform = all(len({sets[i].bit_count() for i in opt}) <= 1 for opt in res.all_optima)
+    return replace(res, uniform_optima=uniform)
 
 
 def helly_triple_check(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | None]:

@@ -30,6 +30,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config("kind cycle\n")
 
+    def test_descending_range(self):
+        # an empty range would run no point and exit 0 as a clean campaign
+        with pytest.raises(ValueError, match="range '9..6' is empty: 6 < 9"):
+            parse_config("kind = cycle\nn = 9..6\n")
+        assert parse_config("kind = cycle\nn = 6..6\n").n == [6]
+
     def test_negative_limits(self):
         for line in ("optima_cap = -1", "limit_nodes = -1"):
             with pytest.raises(ValueError, match=">= 0"):
@@ -325,15 +331,17 @@ class TestCli:
         assert verdict["brute_value"] == 3
 
     def test_check_hm_overrun_keeps_its_optimum(self, tmp_path):
-        # the budget runs out in the group-free sample pass before its
-        # first clique; the optimum is still six r-windows
+        # cap 1: the budget runs out in the group-free sample pass before
+        # its first clique; cap 0 is the maximum search, which proves the
+        # value within the budget; either way the optimum is six r-windows
         out = tmp_path / "v.json"
-        assert main(["check-hm", "--n", "12", "--r", "6", "--limit-nodes", "8",
-                     "--optima-cap", "0", "--out", str(out)]) == 3
-        verdict = json.loads(out.read_text())
-        assert verdict["brute_value"] == 6 and verdict["value_exact"] is False
-        optimum = verdict["witnesses"]["optimum"]
-        assert len(optimum) == 6 and all(len(window) == 6 for window in optimum)
+        for cap, exact in (("1", False), ("0", True)):
+            assert main(["check-hm", "--n", "12", "--r", "6", "--limit-nodes", "8",
+                         "--optima-cap", cap, "--out", str(out)]) == 3
+            verdict = json.loads(out.read_text())
+            assert verdict["brute_value"] == 6 and verdict["value_exact"] is exact
+            optimum = verdict["witnesses"]["optimum"]
+            assert len(optimum) == 6 and all(len(window) == 6 for window in optimum)
 
     def test_pg_with_map(self, tmp_path):
         lines = tmp_path / "pg.txt"
@@ -402,6 +410,7 @@ class TestCli:
              "unknown sun_variant 'square'; expected one of binomial, squared"),
             ("optima_cap = -1\n", "need optima_cap >= 0, got -1"),
             ("limit_nodes = -5\n", "need node_budget >= 0, got -5"),
+            ("kind = cycle\nn = 9..6\n", "range '9..6' is empty: 6 < 9"),
         ):
             cfg.write_text(config)
             assert main(["campaign", "--config", str(cfg)]) == 1

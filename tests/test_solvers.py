@@ -360,6 +360,22 @@ class TestNodeCounts:
         res = enumerate_maximum_s_intersecting(path_family(make_sun(12, 3), 6), 1)
         assert res.nodes <= 171
 
+    @pytest.mark.parametrize("fam, s, value, nodes", [
+        (lambda: path_family(make_sun(16, 3), 8), 2, 88, 4126),
+        (lambda: path_family(make_cycle(24), 12), 1, 12, 66),
+        (lambda: to_setfamily(enumerate_paths_all(make_sun(8, 1))), 1, 144, 86),
+    ], ids=["sun-16-3", "cycle-24", "all-paths-sun-8-1"])
+    def test_cap_0_enumeration_is_the_maximum(self, fam, s, value, nodes):
+        # 9,463, 90 and 106 nodes when cap 0 ran a closing pass to its
+        # first clique and then a group-free sample pass
+        fam = fam()
+        maximum = max_s_intersecting(fam, s)
+        res = enumerate_maximum_s_intersecting(fam, s, Limits(optima_cap=0))
+        assert res.all_optima == () and res.limits_hit and res.value_exact
+        assert (res.value, res.witness, res.nodes) == \
+            (maximum.value, maximum.witness, maximum.nodes)
+        assert (res.value, res.nodes) == (value, nodes)
+
     def test_check_ekr_on_sun_12_4(self, monkeypatch):
         # 300 members in 36 twin classes; 144,136 nodes without contraction
         solved = []
