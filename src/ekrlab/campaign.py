@@ -114,6 +114,12 @@ def _instances(cfg: CampaignConfig) -> Iterator[Graph]:
     }
     if cfg.kind not in grids:
         raise ValueError(f"unknown kind {cfg.kind!r}")
+    # an empty list or no tree would run no point and pass as a clean campaign
+    for key in ("n", "t", "s", "r"):
+        if getattr(cfg, key) == []:
+            raise ValueError(f"no value under key {key!r}")
+    if cfg.tree_count < 1:
+        raise ValueError(f"need tree_count >= 1, got {cfg.tree_count}")
     if cfg.check == "hm":
         if cfg.kind != "cycle":
             raise ValueError(f"check hm runs on cycles only, got kind {cfg.kind!r}")
@@ -123,14 +129,16 @@ def _instances(cfg: CampaignConfig) -> Iterator[Graph]:
             raise ValueError(f"check hm runs in uniform mode only, got mode {cfg.mode!r}")
     if cfg.kind == "theta" and not cfg.a:
         raise ValueError("theta campaigns need strand tuples under key 'a'")
+    if cfg.mode == "all-paths" and cfg.r != "valid":  # each r would repeat the point
+        raise ValueError("all-paths mode takes no r")
     return (make_graph(cfg.kind, **params) for params in grids[cfg.kind])
 
 
-def _valid_r(cfg: CampaignConfig, g: Graph, s: int) -> list[int]:
+def _valid_r(cfg: CampaignConfig, g: Graph, s: int) -> list[int | None]:
     if cfg.check == "hm":
         return list(hm_window(g.meta["n"]))
     if cfg.mode == "all-paths":
-        return [0]
+        return [None]
     if g.kind in ("cycle", "sun"):
         n = g.meta["n"]
         if cfg.mode == "upto":
@@ -145,6 +153,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     """One verdict per grid point; returns the full report dict."""
     verdicts: list[Verdict] = []
     skipped: list[dict] = []
+    mode = "nonstar" if cfg.check == "hm" else cfg.mode
     for g in _instances(cfg):
         for s in cfg.s:
             r_values = _valid_r(cfg, g, s) if cfg.r == "valid" else list(cfg.r)
@@ -153,17 +162,13 @@ def run_campaign(cfg: CampaignConfig) -> dict:
                                 "reason": "no admissible r for these parameters"})
                 continue
             for r in r_values:
-                size = None if cfg.mode == "all-paths" else r
                 try:
-                    if cfg.check == "hm":
-                        verdicts.append(check_hm(g, r, cfg.limits))
-                    else:
-                        verdicts.append(check_ekr(g, cfg.mode, size, s, cfg.limits,
-                                                  sun_variant=cfg.sun_variant))
+                    verdicts.append(check_hm(g, r, cfg.limits) if mode == "nonstar" else
+                                    check_ekr(g, mode, r, s, cfg.limits,
+                                              sun_variant=cfg.sun_variant))
                 except GraphError as exc:
-                    instance = _instance_tag(g, "nonstar", r, 1) if cfg.check == "hm" \
-                        else _instance_tag(g, cfg.mode, size, s)
-                    skipped.append({"instance": instance, "reason": str(exc)})
+                    skipped.append({"instance": _instance_tag(g, mode, r, s),
+                                    "reason": str(exc)})
     mismatches = sum(1 for v in verdicts if v.oracle_match is False)
     construction_failures = sum(1 for v in verdicts if v.construction_ok is False)
     limits_hit = sum(1 for v in verdicts if v.limits_hit)

@@ -1084,17 +1084,17 @@ def _search(graph: _Quotient, fam: SetFamily, limits: Limits,
                          _quotient_group(graph, fam), _quotient_swaps(graph, fam), ups)
 
 
-def _star_seed(fam: SetFamily, s: int, graph: _Quotient) -> tuple[int, int] | None:
+def _star_seed(fam: SetFamily, s: int) -> int:
     """The largest full s-star is an s-intersecting subfamily, so it
-    warm-starts the clique search: (weight, quotient mask), or None."""
+    warm-starts the clique search: its member mask, 0 when it is empty."""
     size, center = best_full_star(fam, s)
     if size == 0:
-        return None
+        return 0
     mask = 0
     for i, m in enumerate(fam.sets):
         if m & center == center:
             mask |= 1 << i
-    return graph.contract(mask)
+    return mask
 
 
 def _cut(budget: _Budget, value: int, witness: tuple[int, ...],
@@ -1166,9 +1166,12 @@ def _s_intersecting(fam: SetFamily, s: int, limits: Limits, cap: int | None) -> 
     greedy clique."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    # the star's scan runs before the graph is built, so the collector
+    # passes it triggers do not walk the graph's fresh rows
+    star = _star_seed(fam, s)
     graph = _compat_quotient(fam, s)
     search = _search(graph, fam, limits, containing=True)
-    return _solved(search, search._greedy_seed(_star_seed(fam, s, graph)), cap)
+    return _solved(search, search._greedy_seed(graph.contract(star)), cap)
 
 
 def max_nonstar_s_intersecting(fam: SetFamily, s: int,
@@ -1179,18 +1182,17 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
 
     The clique search runs with the non-star hook.  Any nonempty
     s-intersecting family of at most two members is an s-star, so
-    infeasible means no subfamily qualifies at all.  With
-    enumerate_optima the value and the optima come from one collecting
-    pass, so the optima cap counts non-star optima.
+    infeasible means no subfamily qualifies at all.  Both modes start
+    from the greedy clique.  With enumerate_optima the value and the
+    optima come from one collecting pass, so the optima cap counts
+    non-star optima.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
     search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), containing=True)
-    if enumerate_optima:
-        res = _solved(search, (0, 0), limits.optima_cap)
-    else:
-        res = _solved(search, search._greedy_seed())
+    cap = limits.optima_cap if enumerate_optima else None
+    res = _solved(search, search._greedy_seed(), cap)
     if res.value == 0 and res.value_exact:
         return SolveResult(value=0, witness=(), nodes=res.nodes, infeasible=True)
     return res

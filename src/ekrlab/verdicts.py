@@ -2,8 +2,9 @@
 
 A verdict pairs the exact solver value with the applicable oracle, the
 best full star, an all-optima structure classification, and the explicit
-construction when one exists.  One function, _closed_form, holds each
-instance type's oracle and construction for check_ekr and check_hm.
+construction when one exists.  _closed_form holds each instance type's
+oracle and construction, and _verdict builds every Verdict from a
+check's solver result and the labels the check computed.
 """
 
 from __future__ import annotations
@@ -198,38 +199,13 @@ def star_flags_of(fam: SetFamily, optima, s: int) -> list[bool]:
             for opt in optima]
 
 
-def check_ekr(g: Graph, mode: str, size: int | None, s: int,
-              limits: Limits = DEFAULT_LIMITS, sun_variant: str = "squared") -> Verdict:
-    """Full brute-force verdict for one instance.
-
-    Star centers are searched over the s-subsets of family members only,
-    which covers every center with a nonempty full star.  Labels that
-    need the exact value (is_ekr, construction_ok) are None when the
-    search was cut short; the classification is 'unknown' unless the
-    optima list is complete.
-    """
-    start = time.perf_counter()
-    fam = build_family(g, mode, size)
+def _verdict(start: float, g: Graph, mode: str, size: int | None, s: int, fam: SetFamily,
+             solved: SolveResult, is_strict: bool | None, classification: str,
+             sun_variant: str = "squared", **witnesses) -> Verdict:
+    """The verdict of a finished check, from its labels and extra witness
+    keys.  is_ekr: no family searched beats the best full star (for an
+    s-intersecting maximum, which that star bounds below, equality)."""
     star_size, star_center = best_full_star(fam, s)
-    solved = enumerate_maximum_s_intersecting(fam, s, limits)
-    is_ekr = solved.value == star_size if solved.value_exact else None
-    is_strict: bool | None = None
-    classification = "unknown"
-    if solved.all_optima is not None:
-        star_flags = star_flags_of(fam, solved.all_optima, s)
-        if solved.limits_hit:
-            is_strict = False if not all(star_flags) else None
-        else:
-            is_strict = is_ekr and all(star_flags)
-            classification = "other"
-            if all(star_flags):
-                classification = "star"
-            elif g.kind == "cycle" and mode == "uniform":
-                nonstars = [opt for opt, ok in zip(solved.all_optima, star_flags) if not ok]
-                if all(matches_hm_structure(g.meta["n"], size,
-                                            [fam.sets[i] for i in opt])
-                       for opt in nonstars):
-                    classification = "hm-structure"
     oracle, construction_ok = _closed_form(g, mode, size, s, fam, solved, star_size,
                                            sun_variant)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -239,15 +215,48 @@ def check_ekr(g: Graph, mode: str, size: int | None, s: int,
         max_star={"size": star_size, "center": list(elems_of(star_center))},
         brute_value=solved.value,
         oracle=oracle,
-        is_ekr=is_ekr,
+        is_ekr=solved.value <= star_size if solved.value_exact else None,
         is_strict=is_strict,
         classification=classification,
-        witnesses={"optimum": [list(fam.member(i)) for i in solved.witness]},
+        witnesses={"optimum": [list(fam.member(i)) for i in solved.witness], **witnesses},
         construction_ok=construction_ok,
         runtime_ms=runtime_ms,
         limits_hit=solved.limits_hit,
         value_exact=solved.value_exact,
     )
+
+
+def check_ekr(g: Graph, mode: str, size: int | None, s: int,
+              limits: Limits = DEFAULT_LIMITS, sun_variant: str = "squared") -> Verdict:
+    """Full brute-force verdict for one instance.
+
+    Star centers are searched over the s-subsets of family members only,
+    which covers every center with a nonempty full star.  Labels that
+    need the exact value (is_ekr, construction_ok) are None when the
+    search was cut short; the classification is 'unknown' unless the
+    optima list is complete.  A complete list of star optima makes the
+    value a full star's size, so EKR holds and is_strict is True.
+    """
+    start = time.perf_counter()
+    fam = build_family(g, mode, size)
+    solved = enumerate_maximum_s_intersecting(fam, s, limits)
+    is_strict: bool | None = None
+    classification = "unknown"
+    if solved.all_optima is not None:
+        star_flags = star_flags_of(fam, solved.all_optima, s)
+        if solved.limits_hit:
+            is_strict = False if not all(star_flags) else None
+        else:
+            is_strict = all(star_flags)
+            classification = "star" if is_strict else "other"
+            if not is_strict and g.kind == "cycle" and mode == "uniform":
+                nonstars = [opt for opt, ok in zip(solved.all_optima, star_flags) if not ok]
+                if all(matches_hm_structure(g.meta["n"], size,
+                                            [fam.sets[i] for i in opt])
+                       for opt in nonstars):
+                    classification = "hm-structure"
+    return _verdict(start, g, mode, size, s, fam, solved, is_strict, classification,
+                    sun_variant)
 
 
 def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -259,35 +268,17 @@ def check_hm(g: Graph, r: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     if g.kind != "cycle":
         raise GraphError(f"non-star verdicts run on cycles, got {g.kind!r}")
     start = time.perf_counter()
-    n = g.meta["n"]
     fam = build_family(g, "uniform", r)
-    star_size, star_center = best_full_star(fam, 1)
     solved = max_nonstar_s_intersecting(fam, 1, limits, enumerate_optima=True)
     classification = "other"
     if solved.limits_hit:
         classification = "unknown"
     elif not solved.infeasible and all(
-            matches_hm_structure(n, r, [fam.sets[i] for i in opt])
+            matches_hm_structure(g.meta["n"], r, [fam.sets[i] for i in opt])
             for opt in solved.all_optima):
         classification = "hm-structure"
-    oracle, construction_ok = _closed_form(g, "nonstar", r, 1, fam, solved, star_size)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return Verdict(
-        instance=_instance_tag(g, "nonstar", r, 1),
-        family_size=len(fam),
-        max_star={"size": star_size, "center": list(elems_of(star_center))},
-        brute_value=solved.value,
-        oracle=oracle,
-        is_ekr=solved.value <= star_size if solved.value_exact else None,
-        is_strict=None,
-        classification=classification,
-        witnesses={"optimum": [list(fam.member(i)) for i in solved.witness],
-                   "infeasible": solved.infeasible},
-        construction_ok=construction_ok,
-        runtime_ms=runtime_ms,
-        limits_hit=solved.limits_hit,
-        value_exact=solved.value_exact,
-    )
+    return _verdict(start, g, "nonstar", r, 1, fam, solved, None, classification,
+                    infeasible=solved.infeasible)
 
 
 def host_tag(g: Graph) -> dict:

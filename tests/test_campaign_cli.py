@@ -7,6 +7,7 @@ from ekrlab.campaign import CampaignConfig, emit_report, parse_config, run_campa
 from ekrlab.cli import main
 from ekrlab.families import parse_family
 from ekrlab.graphs import parse_graph
+from ekrlab.solvers import Limits
 
 
 class TestConfigParsing:
@@ -130,6 +131,27 @@ class TestRunCampaign:
         assert report["summary"]["oracle_matches"] == 1
         assert report["summary"]["exit_code"] == 0
 
+    def test_verdicts_are_the_direct_checks(self):
+        # each point's verdict is the one check_ekr or check_hm gives on
+        # the same point; a check = hm point whose r exceeds n is skipped
+        sun, cycle = graphs.make_sun(6, 1), graphs.make_cycle(9)
+        for cfg, direct, skipped in (
+            (CampaignConfig(kind="sun", n=[6], t=[1], s=[1, 2], r=[3]),
+             [verdicts.check_ekr(sun, "uniform", 3, s) for s in (1, 2)], []),
+            (CampaignConfig(kind="sun", mode="all-paths", n=[6], t=[1], s=[1]),
+             [verdicts.check_ekr(sun, "all-paths", None, 1)], []),
+            (CampaignConfig(kind="cycle", n=[9], s=[1], r=[4], limit_nodes=3),
+             [verdicts.check_ekr(cycle, "uniform", 4, 1, Limits(node_budget=3))], []),
+            (CampaignConfig(kind="cycle", check="hm", n=[9], r=[3, 4, 12], optima_cap=1),
+             [verdicts.check_hm(cycle, r, Limits(optima_cap=1)) for r in (3, 4)],
+             [{"instance": {"kind": "cycle", "mode": "nonstar", "s": 1, "n": 9, "r": 12},
+               "reason": "need 1 <= r <= 9, got r=12"}]),
+        ):
+            report = run_campaign(cfg)
+            assert [{**v, "runtime_ms": 0} for v in report["verdicts"]] == \
+                [{**v.to_dict(), "runtime_ms": 0} for v in direct]
+            assert report["skipped"] == skipped
+
     def test_deterministic_apart_from_runtime(self):
         cfg = CampaignConfig(kind="sun", n=[6], t=[1], s=[1], r="valid")
         a = run_campaign(cfg)
@@ -176,8 +198,16 @@ class TestRunCampaign:
         CampaignConfig(kind="theta"),
         CampaignConfig(kind="cycle", check="hm", n=[10], s=[1, 2, 3]),
         CampaignConfig(kind="cycle", check="hm", n=[10], mode="upto"),
+        CampaignConfig(kind="cycle", n=[]),
+        CampaignConfig(kind="sun", n=[6], t=[]),
+        CampaignConfig(kind="cycle", n=[6], s=[]),
+        CampaignConfig(kind="cycle", n=[6], r=[]),
+        CampaignConfig(kind="tree", n=[6], tree_count=0),
+        CampaignConfig(kind="tree", n=[6], tree_count=-2),
+        CampaignConfig(kind="cycle", n=[6], mode="all-paths", r=[3, 4, 5]),
     ], ids=["unknown-kind", "hm-off-cycles", "theta-without-strands", "hm-with-s",
-            "hm-with-mode"])
+            "hm-with-mode", "no-n", "no-t", "no-s", "no-r", "no-trees", "negative-trees",
+            "all-paths-with-r"])
     def test_bad_config_raises_before_any_verdict(self, monkeypatch, cfg):
         log = self._logged(monkeypatch)
         with pytest.raises(ValueError):
@@ -457,6 +487,16 @@ class TestCli:
         ("check = hm\nn = 10\ns = 1,2,3\n", "check hm runs at s = 1 only, got s = 1,2,3"),
         ("check = hm\nn = 10\nmode = upto\n",
          "check hm runs in uniform mode only, got mode 'upto'"),
+        # an empty list or no tree would run no point and exit 0
+        ("n =\n", "no value under key 'n'"),
+        ("s =\n", "no value under key 's'"),
+        ("kind = sun\nt = ,\n", "no value under key 't'"),
+        ("r = ,\n", "no value under key 'r'"),
+        ("kind = tree\ntree_count = 0\n", "need tree_count >= 1, got 0"),
+        ("kind = tree\ntree_count = -2\n", "need tree_count >= 1, got -2"),
+        # the all-paths family does not depend on r, so each r would
+        # repeat the point
+        ("mode = all-paths\nr = 3,4,5\n", "all-paths mode takes no r"),
     ])
     def test_campaign_grid_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

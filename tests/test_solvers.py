@@ -398,6 +398,26 @@ class TestNodeCounts:
         assert res.nodes <= 218  # 1,648 with orbital branching alone
         assert len(res.all_optima) == 312 and not res.limits_hit
 
+    @pytest.mark.parametrize("host, value, maximum_nodes, nodes", [
+        (lambda: make_cycle(10), 50, 136, 17), (lambda: make_cycle(12), 72, 241, 26),
+        (lambda: make_sun(6, 2), 162, 155, 8),
+    ], ids=["cycle-10", "cycle-12", "sun-6-2"])
+    def test_nonstar_enumeration_from_the_greedy_floor(self, host, value, maximum_nodes,
+                                                       nodes):
+        # all paths at s = 2, each with one non-star optimum.  From the
+        # empty floor the enumeration took 162, 282 and 164 nodes at cap 0,
+        # more than the maximum mode, and 81, 201 and 14 uncapped
+        fam = to_setfamily(enumerate_paths_all(host()))
+        maximum = max_nonstar_s_intersecting(fam, 2)
+        assert (maximum.value, maximum.nodes) == (value, maximum_nodes)
+        res = max_nonstar_s_intersecting(fam, 2, Limits(optima_cap=0), enumerate_optima=True)
+        assert res.all_optima == () and res.limits_hit and res.value_exact
+        assert (res.value, res.witness, res.nodes) == \
+            (maximum.value, maximum.witness, maximum.nodes)
+        res = max_nonstar_s_intersecting(fam, 2, enumerate_optima=True)
+        assert not res.limits_hit and res.value_exact and len(res.all_optima) == 1
+        assert (res.value, res.witness, res.nodes) == (value, maximum.witness, nodes)
+
     def test_orbital_enumeration_on_sun_16_3(self):
         # its 16 optima are the rotations of one star; 10,442 nodes
         # without orbital branching, 4,499 without the dominance check,
