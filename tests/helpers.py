@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's search code paths:
 path counting and listing walk raw sequences, maximum intersecting
 subfamilies come from an all-subsets scan or Bron-Kerbosch, transversals
 from a combinations sweep, the Hilton-Milner anchor families from a scan
-over every anchor triple.
+over every anchor triple, Helly counterexamples from a scan over every
+member triple.
 """
 
 from __future__ import annotations
@@ -306,6 +307,18 @@ def naive_is_triangular(fam: SetFamily) -> bool:
         if a & b & c:
             return False
     return True
+
+
+def naive_helly(fam: SetFamily) -> tuple[bool, tuple[int, int, int] | None]:
+    """The first pairwise-intersecting triple i < j < k (lexicographic
+    order of member indices) with no common element, by a scan over all
+    triples; (True, None) when there is none."""
+    sets = fam.sets
+    for i, j, k in combinations(range(len(sets)), 3):
+        a, b, c = sets[i], sets[j], sets[k]
+        if a & b and a & c and b & c and not a & b & c:
+            return False, (i, j, k)
+    return True, None
 
 
 def random_intersecting_family(seed: int, ground: int, m: int) -> SetFamily:

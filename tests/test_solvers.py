@@ -574,9 +574,10 @@ class TestNodeCounts:
 
     def test_transversal_of_pg7(self):
         # the packing bound is 1 at the root on pairwise-intersecting lines;
-        # the degree-sum bound carries the search (2,396,821 nodes without it)
+        # the fractional bound, 57 lines at 1/8 each, is above 7 there, so
+        # the greedy 8 is proven at the root (8,207 nodes without it)
         res = min_transversal(build_pg(make_field(7, 1)).lines)
-        assert res.value == 8 and res.nodes <= 77
+        assert res.value == 8 and res.nodes == 0
 
     def test_transversal_of_pg7_minus_a_pencil(self):
         lines = build_pg(make_field(7, 1)).lines
@@ -584,7 +585,9 @@ class TestNodeCounts:
         fam = SetFamily(ground=lines.ground,
                         sets=tuple(m for m in lines.sets if not (m >> corner) & 1))
         res = min_transversal(fam)
-        assert res.nodes <= 21  # 299,613 without the degree-sum bound
+        # 49 lines at 1/7 each: the greedy 7 is proven at the root by the
+        # fractional bound (1,489 nodes without it)
+        assert res.value == 7 and res.nodes == 0
         assert len(res.witness) == res.value and all(m & mask_of(res.witness)
                                                      for m in fam.sets)
 
@@ -592,7 +595,8 @@ class TestNodeCounts:
         # 20 families of the benchmark's shape, 40 distinct 4-sets over 24
         # points; 14,029 nodes before the search excluded tried siblings,
         # 5,339 before the packing counted allowed elements only and the
-        # children went in degree order
+        # children went in degree order, 3,707 with the degree-sum bound in
+        # place of the fractional one
         total = 0
         for seed in range(20):
             fam = helpers.uniform_family(seed)
@@ -600,7 +604,7 @@ class TestNodeCounts:
             assert res.value_exact and not res.limits_hit
             assert all(m & mask_of(res.witness) for m in fam.sets)
             total += res.nodes
-        assert total <= 3707
+        assert total <= 2800
 
 
 class TestCertificationOverrun:
@@ -805,7 +809,7 @@ class TestMinTransversal:
     def test_bounds_prune_only_unhittable_nodes(self):
         # a search with no nodes to spend returns None only where the
         # root is pruned: by the packing over allowed elements, by the
-        # degree-sum bound, or by a member with no allowed element; every
+        # fractional bound, or by a member with no allowed element; every
         # such node must hold no k allowed elements that hit all of
         # unhit.  With nodes to spend, the search must find such a set
         # exactly when the brute force does.
@@ -848,6 +852,57 @@ class TestMinTransversal:
         # the bounds themselves pruned, not only a member with no allowed
         # element, and also at k >= 2
         assert len(by_bound) >= 50 and sum(k >= 2 for k in by_bound) >= 10
+
+    def test_decision_under_exclusion(self):
+        # the decision routine against a brute force over the allowed
+        # elements, on arbitrary allowed masks (exclusion branching and the
+        # certification's suffixes both shrink them, and the fractional
+        # bound must claim members with allowed elements only), random
+        # uncovered members and empty members, at k from 0 to 3 and on
+        # both sides of the least hitting set: None exactly when no k
+        # allowed elements hit every member of unhit, otherwise an allowed
+        # hitting set of at most k elements
+        from itertools import combinations
+        outcomes = []
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+        @given(data=st.data())
+        def check(data):
+            ground = data.draw(st.integers(3, 12))
+            member = st.sets(st.integers(0, ground - 1), min_size=1, max_size=3).map(mask_of)
+            sets = data.draw(st.lists(member, min_size=4, max_size=16))
+            if data.draw(st.integers(0, 7)) == 0:
+                sets.append(0)
+            search = solvers._HittingSearch(tuple(sets), solvers._Budget(100_000))
+            unhit = data.draw(st.one_of(st.just(search.full), st.integers(0, search.full)))
+            # any allowed mask, or all but a few elements, where the bounds
+            # are closer to tight
+            allowed = data.draw(st.one_of(
+                st.integers(0, (1 << ground) - 1),
+                st.sets(st.integers(0, ground - 1), max_size=3).map(
+                    lambda out: (1 << ground) - 1 & ~mask_of(out))))
+            if data.draw(st.booleans()):
+                # the certification allows every element past a point
+                allowed |= -1 << ground
+            members = [search.sets[i] for i in elems_of(unhit)]
+            options = [e for e in range(ground) if allowed >> e & 1]
+            # the fewest allowed elements that hit every member, if any
+            least = next((size for size in range(len(options) + 1)
+                          if any(all(m & mask_of(pick) for m in members)
+                                 for pick in combinations(options, size))), None)
+            tight = set() if least is None else {least - 1, least}
+            for k in sorted({0, 1, 2, 3} | tight - {-1}):
+                hittable = least is not None and least <= k
+                found = search._hit(unhit, k, allowed)
+                assert (found is not None) == hittable, (sets, unhit, allowed, k)
+                if found is not None:
+                    picked = mask_of(found)
+                    assert len(found) <= k and picked & ~allowed == 0
+                    assert all(m & picked for m in members)
+                outcomes.append(hittable)
+
+        check()
+        assert outcomes.count(True) >= 100 and outcomes.count(False) >= 300
 
     # 12 triples over 10 points: tau = 4 (the greedy bound), proven in 6
     # nodes of the minimum search and certified lex-least in 1 more
@@ -964,6 +1019,27 @@ class TestHelly:
 
     def test_tiny_families(self):
         assert helly_triple_check(SetFamily(ground=3, sets=(1, 3)))[0]
+
+    def test_matches_the_triple_scan(self):
+        # the same answer and the same first counterexample as the scan
+        # over every triple, with empty and repeated members
+        outcomes = []
+        # build_families brings the empty members; pairs and triples over
+        # a few points bring the counterexamples (a triangle is the least)
+        small = st.integers(3, 7).flatmap(lambda ground: st.lists(
+            st.sets(st.integers(0, ground - 1), min_size=2, max_size=3).map(mask_of),
+            min_size=3, max_size=14).map(
+                lambda sets: SetFamily(ground=ground, sets=tuple(sorted(sets + sets[:2])))))
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+        @given(fam=st.one_of(build_families(), small))
+        def check(fam):
+            got = helly_triple_check(fam)
+            assert got == helpers.naive_helly(fam), fam.sets
+            outcomes.append(got[0])
+
+        check()
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
 
 # the largest families of the group differential, per host kind: above
