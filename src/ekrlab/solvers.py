@@ -29,22 +29,25 @@ weight in each color class.  A degree cap can split a twin class, so the
 triangular search keeps one vertex per member.  Node counts count
 quotient vertices.
 
-The same argument covers containment: when u is a strict subset of x
-and |u| >= s, everything that meets u in s elements meets x in s, so
-N[u] is inside N[x] and every maximum clique, plain or non-star, that
-holds u also holds x.  Hereditary families such as all paths of a graph
-are full of such pairs.  So in those two searches each quotient vertex
-v has up[v], its neighbours whose class holds a strict superset of v's
-representative (the AND of the holder masks of its elements), and a
-node whose candidates meet up of some vertex on the stack takes the
-lowest such candidate as its only branch (a forced take): leaving it
-out leaves no optimum in the node.  A forced take computes no coloring
-and, like an orbit-skipped vertex, is not a node; it still passes the
-dominance check, the ceiling and the hook.  A family whose members all
-have one size holds no strict containment and gets no table.  The
-Sperner search gets none because nested members are not adjacent in its
-relation, and the triangular one none because a superset can break the
-degree cap.
+The same argument gives the forced takes of those two searches.  When
+some candidate v of a node is adjacent to every other candidate, any
+clique through the node that leaves v out can take v as well: it stays
+a clique, grows heavier and its common intersection only shrinks, so a
+non-star clique stays non-star.  So every maximum clique or optimum
+through the node holds v, and a decision pass's clique of the maximum
+weight never leaves it out (it would grow past the maximum).  So the
+least such v is the node's only branch (a forced take, the universal-
+vertex exchange rule of branch-and-reduce solvers: Fomin, Grandoni and
+Kratsch, J. ACM 56(5), 2009; Akiba and Iwata, Theor. Comput. Sci. 609,
+2016).  It covers
+containment and more: when N[u] is inside N[x] for some u on the stack
+(u a strict subset of x with |u| >= s, say), the candidates lie in
+N(u), inside N[x], so a candidate x is adjacent to every other one.  A
+forced take computes no coloring and, like an orbit-skipped vertex, is
+not a node; it still passes the dominance check, the ceiling and the
+hook.  The triangular search takes none, since a universal candidate
+can break the degree cap; the Sperner search none, since there they
+cost more time than the nodes they save (max_intersecting_sperner).
 
 Graphs are built from holder masks, not pair tests (meet_rows,
 _sperner_rows): holders[e] masks the members that hold element e
@@ -340,6 +343,21 @@ def _weighted_color_order(adj: tuple[int, ...], cand: int, weight: list[int],
     return order, bounds
 
 
+def _forced_take(adj: tuple[int, ...], cand: int) -> int:
+    """The least candidate adjacent to every other candidate, as a
+    one-bit mask; 0 when there is none.  The candidates are tried in
+    ascending order, and each one tried leaves only its neighbours to
+    try: the others are not adjacent to it."""
+    rest = cand
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        if cand & ~row == low:
+            return low
+        rest &= row
+    return 0
+
+
 class _Quotient:
     """A graph with each class of true twins (vertices with equal closed
     neighbourhoods) contracted to one weighted vertex.
@@ -421,36 +439,6 @@ def _compat_quotient(fam: SetFamily, s: int) -> _Quotient:
     """The twin quotient of fam's s-compatibility graph, in degree order."""
     return _twin_quotient(CompatibilityGraph.build(fam, s).adj, fam.elems,
                           partial(meet_rows, s=s))
-
-
-class _Containing(dict):
-    """up[v] for the quotient vertices v of a compatibility graph,
-    computed on first use: v's neighbours whose class holds a strict
-    superset of v's representative.  The members holding every element
-    of the representative are the AND of their holder masks, started
-    from all members (an empty member has no element); they include the
-    representative's own class, which its row leaves out."""
-
-    __slots__ = ("graph", "elems", "holders", "everyone")
-
-    def __init__(self, graph: _Quotient, fam: SetFamily) -> None:
-        super().__init__()
-        self.graph = graph
-        self.elems = fam.elems
-        self.holders = fam.holders
-        self.everyone = (1 << len(fam)) - 1
-
-    def __missing__(self, v: int) -> int:
-        graph, holders = self.graph, self.holders
-        sup = self.everyone
-        for e in self.elems[graph.members[v][0]]:
-            sup &= holders[e]
-        pos = graph.pos
-        up = 0
-        for i in elems_of(sup):
-            up |= 1 << pos[i]
-        self[v] = up = up & graph.rows[v]
-        return up
 
 
 def _quotient_group(graph: _Quotient, fam: SetFamily) -> tuple[Perm, ...]:
@@ -714,8 +702,9 @@ class _CliqueSearch:
     the hook's verdicts; elements lists the group they generate without
     the identity, or is () when its order passes m^2.  swaps holds more
     such automorphisms (_Swaps): they generate a normal subgroup of the
-    whole group, and are never listed.  ups holds the forced takes
-    (_Containing), or is None when the search has none.
+    whole group, and are never listed.  forcing: a node whose candidates
+    hold one adjacent to all the others takes it as its only branch (a
+    forced take), as the plain and non-star searches do.
 
     One recursive loop, _collect, branches for maximum(),
     enumerate_exact() and the decision passes of lex_least().  maximum()
@@ -731,14 +720,14 @@ class _CliqueSearch:
 
     def __init__(self, graph: _Quotient, budget: _Budget,
                  hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = (),
-                 swaps: _Swaps = _NO_SWAPS, ups: _Containing | None = None) -> None:
+                 swaps: _Swaps = _NO_SWAPS, forcing: bool = False) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
         self.hook = hook
-        self.ups = ups
+        self.forcing = forcing
         self.gens = group
         self.elements = _list_group(group, self.m)
         self.swap_tables, self.moves, self.swap_images = swaps
@@ -837,17 +826,13 @@ class _CliqueSearch:
         that counts extend the clique on stack (of weight weight, with
         candidates cand and hook state state)?  A group-free collecting
         pass with threshold and ceiling size, stopped by _Capped at the
-        first such clique.  Such a clique is maximum, so it holds the
-        forced takes of every class on stack."""
+        first such clique.  Such a clique is maximum, so it holds every
+        forced take of the pass."""
         self._start(size, [], 0, True)
         self._listed = ()
         self._ceiling = size
-        up = 0
-        if self.ups is not None:
-            for v in stack:
-                up |= self.ups[v]
         try:
-            self._collect(stack, weight, cand, state, (), 0, up)
+            self._collect(stack, weight, cand, state, (), 0)
         except _Capped:
             return True
         return False
@@ -890,7 +875,7 @@ class _CliqueSearch:
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
-                 gens: tuple[Perm, ...], swaps: int, up: int = 0,
+                 gens: tuple[Perm, ...], swaps: int,
                  lead: list[_Lead] | None = None) -> None:
         """Every clique search: branch on the candidates in reverse
         coloring order, pruned by the coloring bound against best, and
@@ -911,20 +896,21 @@ class _CliqueSearch:
         is not a node.  lead holds an entry for each listed g with
         g^-1(p_1) on the stack.
 
-        up is the union of ups[p] over the stack p.  When it meets cand,
-        every optimum through the node holds each vertex of the meet, so
-        the node is a forced take: the lowest of them is its only branch,
-        bounded by the ceiling alone, and spends no budget.
+        With forcing, the node first looks for the least candidate
+        adjacent to every other one (_forced_take).  Every optimum through
+        the node holds it, so it is a forced take: the node's only branch,
+        bounded by the ceiling alone, with no coloring and no budget
+        spent.
 
         No clique that counts weighs more than the ceiling (the member
         count, or the decision pass's weight), so a vertex that would
         grow the clique past it is a node that leaves the candidates
         unsearched, and a clique at the ceiling gets no child."""
-        adj, weight, hook, ups = self.adj, self.weight, self.hook, self.ups
+        adj, weight, hook = self.adj, self.weight, self.hook
         listed, ceiling = self._listed, self._ceiling
-        forced = cand & up
+        forced = _forced_take(adj, cand) if self.forcing else 0
         if forced:
-            order, bounds = [(forced & -forced).bit_length() - 1], [ceiling - size]
+            order, bounds = [forced.bit_length() - 1], [ceiling - size]
         else:
             # best only rises within a pass, so no position below this is branched on
             floor = self.best - size + self._capped
@@ -961,13 +947,12 @@ class _CliqueSearch:
             if nxt and grown < ceiling:
                 stab = _stabilizer(gens, v) if gens else ()
                 kept = swaps & ~moves[v] if swaps else 0
-                above = up | ups[v] if ups is not None else 0
                 if listed:
                     self._done.append(done)
-                    self._collect(stack, grown, nxt, inner, stab, kept, above, child_lead)
+                    self._collect(stack, grown, nxt, inner, stab, kept, child_lead)
                     self._done.pop()
                 else:
-                    self._collect(stack, grown, nxt, inner, stab, kept, above)
+                    self._collect(stack, grown, nxt, inner, stab, kept)
             stack.pop()
             cand &= ~_orbit(gens, v, swaps, images) if symmetric else ~(1 << v)
 
@@ -1080,14 +1065,12 @@ class _CliqueSearch:
 
 
 def _search(graph: _Quotient, fam: SetFamily, limits: Limits,
-            hook: _Hook | _PlainHook = _PLAIN, containing: bool = False) -> _CliqueSearch:
+            hook: _Hook | _PlainHook = _PLAIN, forcing: bool = False) -> _CliqueSearch:
     """A clique search on graph, a quotient of fam's members, with the
-    node budget of limits and fam's symmetry and swaps.  containing: graph
-    is a compatibility graph, so the search takes forced takes, unless
-    fam's members all have one size."""
-    ups = _Containing(graph, fam) if containing and len(set(map(len, fam.elems))) > 1 else None
+    node budget of limits and fam's symmetry and swaps; forcing: it takes
+    forced takes."""
     return _CliqueSearch(graph, _Budget(limits.node_budget), hook,
-                         _quotient_group(graph, fam), _quotient_swaps(graph, fam), ups)
+                         _quotient_group(graph, fam), _quotient_swaps(graph, fam), forcing)
 
 
 def _star_seed(fam: SetFamily, s: int) -> int:
@@ -1176,7 +1159,7 @@ def _s_intersecting(fam: SetFamily, s: int, limits: Limits, cap: int | None) -> 
     # passes it triggers do not walk the graph's fresh rows
     star = _star_seed(fam, s)
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, containing=True)
+    search = _search(graph, fam, limits, forcing=True)
     return _solved(search, search._greedy_seed(graph.contract(star)), cap)
 
 
@@ -1196,7 +1179,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), containing=True)
+    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), forcing=True)
     cap = limits.optima_cap if enumerate_optima else None
     res = _solved(search, search._greedy_seed(), cap)
     if res.value == 0 and res.value_exact:
@@ -1405,7 +1388,9 @@ def max_triangular_intersecting(fam: SetFamily, s: int = 1,
     element in at most two members, with a lex-least witness.
 
     The clique search runs with the degree-cap hook.  A cap can split a
-    twin class, so the search keeps one vertex per member."""
+    twin class, so the search keeps one vertex per member.  It takes no
+    forced takes: a candidate adjacent to every other one can still put
+    an element in a third member, so an optimum may leave it out."""
     adj = CompatibilityGraph.build(fam, s).adj
     graph = _Quotient(adj, [[v] for v in range(len(adj))],
                       [row.bit_count() for row in adj])
@@ -1419,7 +1404,10 @@ def max_intersecting_sperner(fam: SetFamily,
     whether every optimum is uniform.  The optima are enumerated from
     the maximum as an exact floor: from the greedy floor the closing pass
     overflows the cap, and all paths of sun(8,1) take 50,697 nodes, not
-    1,402."""
+    1,402.  Forced takes would be sound here too, but they do not pay:
+    on the set-systems benchmark workload they cut the Sperner search's
+    nodes per pass from 4,038 to 3,049 but raised its time from 129 to
+    160 ms."""
     sets = fam.sets
     graph = _twin_quotient(_sperner_rows(fam.elems, fam.holders), fam.elems, _sperner_rows,
                            by_degree=False)

@@ -84,7 +84,8 @@ class TestCheckEkr:
         assert va.oracle_match is False and vb.oracle_match is True
 
     def test_limits_give_unknown(self):
-        v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=3))
+        # the search takes 3 nodes
+        v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=2))
         assert v.limits_hit
         assert v.is_strict is None
         assert v.oracle_match is None
@@ -109,7 +110,7 @@ class TestCheckEkr:
             assert capped.limits_hit and capped.witnesses == full.witnesses
 
     def test_inexact_value_gives_unknown_labels(self):
-        v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=3))
+        v = check_ekr(make_sun(8, 2), "uniform", 4, 1, Limits(node_budget=2))
         assert v.limits_hit and v.value_exact is False
         assert v.is_ekr is None
         assert v.construction_ok is None
