@@ -310,11 +310,15 @@ def parse_family(text: str) -> SetFamily:
         pair = token.split("=")
         if len(pair) != 2:
             raise ValueError(f"family header token {token!r} is not 'key=value'")
+        if pair[0] in fields:
+            raise ValueError(f"family header repeats key {pair[0]!r}")
         fields[pair[0]] = pair[1]
     for key in ("ground", "count"):
         if key not in fields:
             raise ValueError(f"family header lacks '{key}='")
     ground = int(fields["ground"])
+    if ground < 0:
+        raise ValueError(f"family header needs ground >= 0, got 'ground={ground}'")
     count = int(fields["count"])
     body = lines[1:]
     if len(body) != count:
@@ -324,6 +328,8 @@ def parse_family(text: str) -> SetFamily:
         elems = [int(x) for x in ln.split()]
         if elems != sorted(elems):
             raise ValueError(f"set line not ascending: {ln!r}")
+        if len(set(elems)) < len(elems):
+            raise ValueError(f"set line repeats an element: {ln!r}")
         if any(not 0 <= e < ground for e in elems):
             raise ValueError(f"element out of range: {ln!r}")
         masks.append(mask_of(elems))

@@ -14,9 +14,11 @@ One recursive loop does the branching in every mode: a collecting pass,
 of which a maximum search is the run that keeps no ties and the
 certification's decision (does a clique of the maximum weight that
 counts extend the classes taken so far?) the run that stops at its first
-clique.  It carries the hook's state and the symmetry generators in
-force at the node (see below); a plain search's hook keeps every
-candidate and counts every clique.
+clique.  A pass ends early in one case only: it holds more than its cap
+of cliques at the heaviest weight a clique that counts can have, so
+nothing heavier can turn up.  It carries the hook's state and the
+symmetry generators in force at the node (see below); a plain search's
+hook keeps every candidate and counts every clique.
 
 The plain and non-star searches run on the twin quotient of the graph:
 members with equal closed neighbourhoods (N[u] = N[v], e.g. paths that
@@ -29,25 +31,25 @@ weight in each color class.  A degree cap can split a twin class, so the
 triangular search keeps one vertex per member.  Node counts count
 quotient vertices.
 
-The same argument gives the forced takes of those two searches.  When
-some candidate v of a node is adjacent to every other candidate, any
-clique through the node that leaves v out can take v as well: it stays
-a clique, grows heavier and its common intersection only shrinks, so a
-non-star clique stays non-star.  So every maximum clique or optimum
-through the node holds v, and a decision pass's clique of the maximum
-weight never leaves it out (it would grow past the maximum).  So the
-least such v is the node's only branch (a forced take, the universal-
-vertex exchange rule of branch-and-reduce solvers: Fomin, Grandoni and
-Kratsch, J. ACM 56(5), 2009; Akiba and Iwata, Theor. Comput. Sci. 609,
-2016).  It covers
+The same argument gives forced takes.  When some candidate v of a node
+is adjacent to every other candidate, any clique through the node that
+leaves v out can take v as well: it stays a clique, grows heavier and
+its common intersection only shrinks, so a non-star clique stays
+non-star.  So every maximum clique or optimum through the node holds v,
+and a decision pass's clique of the maximum weight never leaves it out
+(it would grow past the maximum).  So the least such v is the node's
+only branch (a forced take, the universal-vertex exchange rule of
+branch-and-reduce solvers: Fomin, Grandoni and Kratsch, J. ACM 56(5),
+2009; Akiba and Iwata, Theor. Comput. Sci. 609, 2016).  It covers
 containment and more: when N[u] is inside N[x] for some u on the stack
 (u a strict subset of x with |u| >= s, say), the candidates lie in
 N(u), inside N[x], so a candidate x is adjacent to every other one.  A
 forced take computes no coloring and, like an orbit-skipped vertex, is
 not a node; it still passes the dominance check, the ceiling and the
-hook.  The triangular search takes none, since a universal candidate
-can break the degree cap; the Sperner search none, since there they
-cost more time than the nodes they save (max_intersecting_sperner).
+hook.  Each hook says whether its searches take them (forces): the
+plain searches, the Sperner search among them, and the non-star search
+do; the triangular search takes none, since a universal candidate can
+break the degree cap.
 
 Graphs are built from holder masks, not pair tests (meet_rows,
 _sperner_rows): holders[e] masks the members that hold element e
@@ -127,12 +129,13 @@ of each clique it collects under the whole group: a breadth-first
 closure under the swaps (and the generators too, with the group
 unlisted), then each listed element once on each of those images, which
 reaches every image because the swaps generate a normal subgroup.  So it
-still lists every optimum, and the optima cap still counts optima; a
-capped list is a sample drawn by the group-free pass, so no answer
-depends on the group.  The certification pass stays symmetry-free, so
-witnesses are unchanged.  A node is one branched vertex: the vertices
-skipped as orbit images or by the dominance check, and forced takes,
-are not counted.
+still lists every optimum, and the optima cap still counts optima.  The
+pass runs to its end under the group, pruning on <= best once over the
+cap, so its value is proven; a capped list is then a sample that a
+group-free pass draws at that value, so no answer depends on the group.
+The certification pass stays symmetry-free, so witnesses are
+unchanged.  A node is one branched vertex: the vertices skipped as orbit
+images or by the dominance check, and forced takes, are not counted.
 
 Transversals use one hitting-set decision routine ("can k elements of
 an allowed set hit every uncovered member?") for both the minimum and
@@ -617,8 +620,8 @@ def _order_exceeds(gens: tuple[Perm, ...], limit: int) -> bool:
 
 
 class _Capped(Exception):
-    """A collecting pass under a group holds more than cap optima, or a
-    decision pass found its clique."""
+    """A collecting pass holds more than cap cliques at its ceiling
+    weight: nothing heavier can turn up, so the pass is done."""
 
 
 class _Hook:
@@ -626,8 +629,10 @@ class _Hook:
     cand) adds v to a clique whose hook state is state, with cand its
     candidates cut to v's neighbours, and returns the candidates that
     stay feasible, the new state and whether the grown clique counts.
-    sets[q] is the meet of quotient vertex q's members, holders[e] the
-    quotient vertices whose meet holds element e."""
+    forces: every optimum through a node holds a candidate adjacent to
+    all the others, so the search takes it as a forced take.  sets[q] is
+    the meet of quotient vertex q's members, holders[e] the quotient
+    vertices whose meet holds element e."""
 
     def __init__(self, graph: _Quotient, sets: tuple[int, ...]) -> None:
         self.sets = [reduce(and_, [sets[v] for v in cls]) for cls in graph.members]
@@ -641,6 +646,7 @@ class _NonStarHook(_Hook):
     candidates go."""
 
     root = -1
+    forces = True
 
     def __init__(self, graph: _Quotient, sets: tuple[int, ...], s: int) -> None:
         super().__init__(graph, sets)
@@ -660,9 +666,12 @@ class _DegreeCapHook(_Hook):
     """Every clique counts, but each element lies in at most two of its
     members.  The state is the elements in at least one chosen member;
     an element that v puts in a second one is full, so its holders leave
-    the candidates, and no candidate ever meets a full element."""
+    the candidates, and no candidate ever meets a full element.  A
+    candidate adjacent to all the others can still put an element in a
+    third member, so an optimum may leave it out: no forced takes."""
 
     root = 0
+    forces = False
 
     def step(self, once: int, v: int, cand: int) -> tuple[int, int, bool]:
         mask = self.sets[v]
@@ -676,6 +685,7 @@ class _PlainHook:
     every clique counts."""
 
     root = None
+    forces = True
 
     @staticmethod
     def step(state: None, v: int, cand: int) -> tuple[int, None, bool]:
@@ -702,53 +712,68 @@ class _CliqueSearch:
     the hook's verdicts; elements lists the group they generate without
     the identity, or is () when its order passes m^2.  swaps holds more
     such automorphisms (_Swaps): they generate a normal subgroup of the
-    whole group, and are never listed.  forcing: a node whose candidates
-    hold one adjacent to all the others takes it as its only branch (a
-    forced take), as the plain and non-star searches do.
+    whole group, and are never listed.  When the hook forces, a node
+    whose candidates hold one adjacent to all the others takes it as its
+    only branch (a forced take).
 
     One recursive loop, _collect, branches for maximum(),
-    enumerate_exact() and the decision passes of lex_least().  maximum()
-    starts from a floor clique that its caller gives, a budget overrun
-    propagates out of every pass, and _solved turns the passes into a
-    solver's result.  _collect
-    carries the hook's state, the generators of the group in force at
-    the node and the mask of its swaps: while there are any it branches
-    on orbits, and a node whose group is trivial gets () and 0.  With
-    the group listed it also runs the dominance check (_dominating) at
-    every candidate below the root, in every pass but the group-free
-    one that draws a capped sample.  A node is one branched vertex."""
+    enumerate_exact() and the decision passes of lex_least(), each set up
+    and run by _pass.  maximum() starts from a floor clique that its
+    caller gives, a budget overrun propagates out of every pass, and
+    _solved turns the passes into a solver's result.  _collect carries
+    the hook's state, the generators of the group in force at the node
+    and the mask of its swaps: while there are any it branches on
+    orbits, and a node whose group is trivial gets () and 0.  With the
+    group listed it also runs the dominance check (_dominating) at every
+    candidate below the root, in every pass under the group (not the
+    decision passes, nor the sample pass of a capped enumeration).  A
+    node is one branched vertex."""
 
     def __init__(self, graph: _Quotient, budget: _Budget,
                  hook: _Hook | _PlainHook = _PLAIN, group: tuple[Perm, ...] = (),
-                 swaps: _Swaps = _NO_SWAPS, forcing: bool = False) -> None:
+                 swaps: _Swaps = _NO_SWAPS) -> None:
         self.graph = graph
         self.adj = graph.rows
         self.weight = graph.weight
         self.m = len(self.adj)
         self.budget = budget
         self.hook = hook
-        self.forcing = forcing
         self.gens = group
         self.elements = _list_group(group, self.m)
         self.swap_tables, self.moves, self.swap_images = swaps
         self.swaps = (1 << len(self.swap_tables)) - 1
+        # a clique of the closing pass, once that pass has ended capped
+        self.held: Sequence[int] | None = None
 
-    def _start(self, best: int, found: list, cap: int, closing: bool) -> None:
-        """Set up a collecting pass: threshold best, the cliques of that
+    def _pass(self, best: int, found: list, cap: int, closing: bool = False,
+              ceiling: int | None = None, node: tuple | None = None) -> None:
+        """Run a collecting pass: threshold best, the cliques of that
         weight held, the cap (capped once more are held), and whether
-        collected cliques are closed under the group."""
+        collected cliques are closed under the group.  It starts at node
+        (stack, weight, candidates, hook state), the root when None, and
+        ends early at _Capped.  No clique that counts weighs more than
+        ceiling, the member count when None.  A pass given a ceiling (the
+        proven maximum: a certification decision or the sample pass of a
+        capped enumeration) runs group-free, so the cliques it meets do
+        not depend on the group; the others run under it."""
         self.best = best
         self.found: list[Sequence[int]] = found
         self._seen: set[Sequence[int]] = set()
         self._cap = cap
         self._capped = len(found) > cap
         self._closing = closing
+        group = ceiling is None
         # the dominance check's state: the elements it tries (none in a
         # group-free pass) and U_-1..U_k-1 along the stack
-        self._listed = self.elements
+        self._listed = self.elements if group else ()
         self._done = [0]
-        # no clique that counts weighs more, so none is grown past it
-        self._ceiling = len(self.graph.pos)
+        self._ceiling = len(self.graph.pos) if group else ceiling
+        stack, size, cand, state = node or ([], 0, (1 << self.m) - 1, self.hook.root)
+        gens, swaps = (self.gens, self.swaps) if group else ((), 0)
+        try:
+            self._collect(stack, size, cand, state, gens, swaps)
+        except _Capped:
+            pass
 
     def maximum(self, floor: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         """(weight, clique as ascending quotient vertices) of a heaviest
@@ -757,8 +782,7 @@ class _CliqueSearch:
         holding the floor clique and closing nothing: it prunes on <= best,
         and only a heavier clique replaces the one held.  A budget overrun
         propagates, with the heaviest clique so far in found[0]."""
-        self._start(floor[0], [elems_of(floor[1])], 0, False)
-        self._collect([], 0, (1 << self.m) - 1, self.hook.root, self.gens, self.swaps)
+        self._pass(floor[0], [elems_of(floor[1])], 0)
         return self.best, self.found[0]
 
     def _greedy_seed(self, seed: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -793,8 +817,7 @@ class _CliqueSearch:
         order, so the pass tries the quotient vertices by least member
         and takes or drops a whole class at once.  Whether some clique of
         weight size that counts extends the classes taken is a decision
-        pass of _collect: group-free, with threshold and ceiling size, and
-        stopped (by _Capped) at the first such clique."""
+        pass (_extends), which ends at the first such clique."""
         adj, weight, hook = self.adj, self.weight, self.hook
         chosen: list[int] = []
         cand = (1 << self.m) - 1
@@ -825,17 +848,11 @@ class _CliqueSearch:
         """The certification's decision: does a clique of weight size
         that counts extend the clique on stack (of weight weight, with
         candidates cand and hook state state)?  A group-free collecting
-        pass with threshold and ceiling size, stopped by _Capped at the
+        pass with threshold and ceiling size and cap 0, so it ends at the
         first such clique.  Such a clique is maximum, so it holds every
         forced take of the pass."""
-        self._start(size, [], 0, True)
-        self._listed = ()
-        self._ceiling = size
-        try:
-            self._collect(stack, weight, cand, state, (), 0)
-        except _Capped:
-            return True
-        return False
+        self._pass(size, [], 0, ceiling=size, node=(stack, weight, cand, state))
+        return bool(self.found)
 
     def enumerate_exact(self, floor: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
         """Every maximum clique that counts, as sorted member indices, in
@@ -851,27 +868,21 @@ class _CliqueSearch:
         partial state stays in best and found (quotient vertices).
 
         With a group the pass branches on orbits and closes what it
-        collects under the group.  Once that holds more than cap optima
-        the list is a sample, and the group-free pass draws it from the
-        weight reached, so that no answer depends on the group.  held
-        keeps one clique of that weight from the closing pass, outside
-        the sample, for an overrun before the group-free pass finds its
-        first."""
-        self._start(floor, [], cap, bool(self.gens or self.swaps))
-        self.held: Sequence[int] = ()
+        collects under the group, and always runs to its end.  When it
+        ends with more than cap optima, the list is a sample, and a
+        group-free pass draws it, so that no answer depends on the group:
+        it starts at the proven maximum with that as its ceiling, so it
+        ends at its (cap+1)-th clique.  held keeps a clique of the
+        closing pass, outside the sample, for an overrun before the
+        group-free pass finds its first."""
+        closing = bool(self.gens or self.swaps)
+        self._pass(floor, [], cap, closing)
         if self.m == 0:
+            # the empty clique, which no pass records
             return [()], False
-        full = (1 << self.m) - 1
-        if self._closing:
-            try:
-                self._collect([], 0, full, self.hook.root, self.gens, self.swaps)
-                return sorted(self.graph.expand(c) for c in self.found), False
-            except _Capped:
-                self._closing = False
-                self._listed = ()
-                self.held = self.found[0]
-                self.found = []
-        self._collect([], 0, full, self.hook.root, (), 0)
+        if closing and self._capped:
+            self.held = self.found[0]
+            self._pass(self.best, [], cap, ceiling=self.best)
         return sorted(self.graph.expand(c) for c in self.found[:cap]), self._capped
 
     def _collect(self, stack: list[int], size: int, cand: int, state,
@@ -896,19 +907,20 @@ class _CliqueSearch:
         is not a node.  lead holds an entry for each listed g with
         g^-1(p_1) on the stack.
 
-        With forcing, the node first looks for the least candidate
-        adjacent to every other one (_forced_take).  Every optimum through
-        the node holds it, so it is a forced take: the node's only branch,
-        bounded by the ceiling alone, with no coloring and no budget
-        spent.
+        When the hook forces, the node first looks for the least
+        candidate adjacent to every other one (_forced_take).  Every
+        optimum through the node holds it, so it is a forced take: the
+        node's only branch, bounded by the ceiling alone, with no coloring
+        and no budget spent.
 
         No clique that counts weighs more than the ceiling (the member
-        count, or the decision pass's weight), so a vertex that would
-        grow the clique past it is a node that leaves the candidates
-        unsearched, and a clique at the ceiling gets no child."""
+        count, or the proven maximum in a decision pass and a sample
+        pass), so a vertex that would grow the clique past it is a node
+        that leaves the candidates unsearched, and a clique at the
+        ceiling gets no child."""
         adj, weight, hook = self.adj, self.weight, self.hook
         listed, ceiling = self._listed, self._ceiling
-        forced = _forced_take(adj, cand) if self.forcing else 0
+        forced = _forced_take(adj, cand) if hook.forces else 0
         if forced:
             order, bounds = [forced.bit_length() - 1], [ceiling - size]
         else:
@@ -1024,21 +1036,22 @@ class _CliqueSearch:
         if size == self.best and not self._capped:
             if self._closing:
                 self._close(stack)
-                return
-            self.found.append(tuple(sorted(stack)))
+            else:
+                self.found.append(tuple(sorted(stack)))
             if len(self.found) > self._cap:
                 self._capped = True
+                if size == self._ceiling:
+                    raise _Capped
 
     def _close(self, stack: list[int]) -> None:
         """Add the clique on stack and its images under the whole group
-        to found, unless an earlier clique's images hold it; _Capped once
-        more than cap are held.  First a breadth-first closure under the
-        swaps (and the generators too, with the group unlisted); the
-        swaps generate a normal subgroup, so each listed element applied
-        once to each of those images then gives the rest.  found holds
-        them ascending, as bytes when the tables are bytes (translate
-        maps them).  A decision pass (cap 0) stops at its first clique,
-        before any image."""
+        to found, unless an earlier clique's images hold it, and stop
+        adding once more than cap are held.  First a breadth-first
+        closure under the swaps (and the generators too, with the group
+        unlisted); the swaps generate a normal subgroup, so each listed
+        element applied once to each of those images then gives the
+        rest.  found holds them ascending, as bytes when the tables are
+        bytes (translate maps them)."""
         seen, found, cap = self._seen, self.found, self._cap
         listed = self.elements
         perms = self.swap_tables if listed else self.swap_tables + self.gens
@@ -1048,11 +1061,11 @@ class _CliqueSearch:
             return
         seen.add(clique)
         found.append(clique)
-        if len(found) > cap:
-            raise _Capped
         queue = [clique]
         for perms, grow in ((perms, True), (listed, False)):
             for c in queue:
+                if len(found) > cap:
+                    return
                 for g in perms:
                     image = as_seq(sorted(_compose(g, c)))
                     if image not in seen:
@@ -1060,17 +1073,14 @@ class _CliqueSearch:
                         found.append(image)
                         if grow:
                             queue.append(image)
-                if len(found) > cap:
-                    raise _Capped
 
 
 def _search(graph: _Quotient, fam: SetFamily, limits: Limits,
-            hook: _Hook | _PlainHook = _PLAIN, forcing: bool = False) -> _CliqueSearch:
+            hook: _Hook | _PlainHook = _PLAIN) -> _CliqueSearch:
     """A clique search on graph, a quotient of fam's members, with the
-    node budget of limits and fam's symmetry and swaps; forcing: it takes
-    forced takes."""
+    node budget of limits and fam's symmetry and swaps."""
     return _CliqueSearch(graph, _Budget(limits.node_budget), hook,
-                         _quotient_group(graph, fam), _quotient_swaps(graph, fam), forcing)
+                         _quotient_group(graph, fam), _quotient_swaps(graph, fam))
 
 
 def _star_seed(fam: SetFamily, s: int) -> int:
@@ -1105,10 +1115,11 @@ def _solved(search: _CliqueSearch, floor: tuple[int, int], cap: int | None = Non
     lex-least optimum, certified by lex_least().
 
     A budget overrun keeps the clique held: the maximum's clique once
-    maximum() has returned (the value is then exact); before that the
-    first clique collected, then the floor while it weighs best, then
-    the clique enumerate_exact() held from its closing pass; in the
-    certification of a capped sample, its least clique."""
+    maximum() has returned; before that the first clique collected, then
+    the floor while it weighs best, then the clique enumerate_exact()
+    held from its closing pass; in the certification of a capped sample,
+    its least clique.  The value is exact once maximum() has returned or
+    the closing pass has ended, as it has when the sample pass overruns."""
     graph, budget = search.graph, search.budget
     weight, clique = floor[0], None
     try:
@@ -1117,8 +1128,8 @@ def _solved(search: _CliqueSearch, floor: tuple[int, int], cap: int | None = Non
         if cap:
             optima, capped = search.enumerate_exact(weight, cap)
     except _BudgetExceeded:
-        exact = clique is not None
-        if not exact:
+        exact = clique is not None or search.held is not None
+        if clique is None:
             clique = search.found[0] if search.found else \
                 elems_of(floor[1]) if search.best == weight else search.held
         return _cut(budget, search.best, graph.expand(clique), exact)
@@ -1159,7 +1170,7 @@ def _s_intersecting(fam: SetFamily, s: int, limits: Limits, cap: int | None) -> 
     # passes it triggers do not walk the graph's fresh rows
     star = _star_seed(fam, s)
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, forcing=True)
+    search = _search(graph, fam, limits)
     return _solved(search, search._greedy_seed(graph.contract(star)), cap)
 
 
@@ -1179,7 +1190,7 @@ def max_nonstar_s_intersecting(fam: SetFamily, s: int,
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     graph = _compat_quotient(fam, s)
-    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s), forcing=True)
+    search = _search(graph, fam, limits, _NonStarHook(graph, fam.sets, s))
     cap = limits.optima_cap if enumerate_optima else None
     res = _solved(search, search._greedy_seed(), cap)
     if res.value == 0 and res.value_exact:
@@ -1403,11 +1414,10 @@ def max_intersecting_sperner(fam: SetFamily,
     """Largest subfamily that is intersecting and an antichain; reports
     whether every optimum is uniform.  The optima are enumerated from
     the maximum as an exact floor: from the greedy floor the closing pass
-    overflows the cap, and all paths of sun(8,1) take 50,697 nodes, not
-    1,402.  Forced takes would be sound here too, but they do not pay:
-    on the set-systems benchmark workload they cut the Sperner search's
-    nodes per pass from 4,038 to 3,049 but raised its time from 129 to
-    160 ms."""
+    passes the cap below the maximum, and all paths of sun(8,1) take
+    2,860 nodes, not 1,075.  The search takes forced takes like every
+    plain search, but keeps member order: in degree order all paths of
+    sun(6,2) take 58 nodes, not 833, but those of sun(8,1) 1,626."""
     sets = fam.sets
     graph = _twin_quotient(_sperner_rows(fam.elems, fam.holders), fam.elems, _sperner_rows,
                            by_degree=False)

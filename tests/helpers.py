@@ -203,6 +203,29 @@ def naive_all_max_s_intersecting(fam: SetFamily, s: int,
     return (0, set()) if best < 0 else (best, optima)
 
 
+def naive_all_max_sperner(fam: SetFamily) -> tuple[int, set[tuple[int, ...]]]:
+    """All-subsets scan for the largest intersecting antichains: the size
+    and the set of every optimum as sorted member-index tuples.  A
+    subfamily qualifies when every two of its members are related by
+    naive_sperner_rows (they meet and neither holds the other)."""
+    m = len(fam)
+    assert m <= 16, "naive scan limited to small families"
+    # related[i]: the members that may share a subfamily with member i, and i
+    related = [row | 1 << i for i, row in enumerate(naive_sperner_rows(fam))]
+    best, optima = 0, {()}
+    for mask in range(1, 1 << m):
+        size = mask.bit_count()
+        if size < best:
+            continue
+        members = [i for i in range(m) if (mask >> i) & 1]
+        if any(mask & ~related[i] for i in members):
+            continue
+        if size > best:
+            best, optima = size, set()
+        optima.add(tuple(members))
+    return best, optima
+
+
 def naive_max_triangular(fam: SetFamily, s: int) -> tuple[int, tuple[int, ...]]:
     """Subset scan for the largest pairwise s-intersecting subfamily in
     which no element lies in three members: the size and the lex-least

@@ -361,15 +361,16 @@ class TestCli:
         assert verdict["brute_value"] == 3
 
     def test_check_hm_overrun_keeps_its_optimum(self, tmp_path):
-        # cap 1: the budget runs out in the group-free sample pass before
-        # its first clique; cap 0 is the maximum search, which proves the
-        # value within the budget; either way the optimum is six r-windows
+        # cap 1: the closing pass under the group proves the value within
+        # the budget, which runs out in the group-free sample pass before
+        # its first clique; cap 0 is the maximum search, which proves it
+        # too; either way the optimum is six r-windows
         out = tmp_path / "v.json"
-        for cap, exact in (("1", False), ("0", True)):
+        for cap in ("1", "0"):
             assert main(["check-hm", "--n", "12", "--r", "6", "--limit-nodes", "8",
                          "--optima-cap", cap, "--out", str(out)]) == 3
             verdict = json.loads(out.read_text())
-            assert verdict["brute_value"] == 6 and verdict["value_exact"] is exact
+            assert verdict["brute_value"] == 6 and verdict["value_exact"] is True
             optimum = verdict["witnesses"]["optimum"]
             assert len(optimum) == 6 and all(len(window) == 6 for window in optimum)
 

@@ -185,6 +185,12 @@ class TestTextFormat:
             parse_family("0 1\n")
         with pytest.raises(ValueError, match="header token 'x'"):
             parse_family("# ground=3 count=1 x\n0 1\n")
+        with pytest.raises(ValueError, match="repeats an element: '0 0 1'"):
+            parse_family("# ground=3 count=1\n0 0 1\n")
+        with pytest.raises(ValueError, match="'ground=-1'"):
+            parse_family("# ground=-1 count=0\n")
+        with pytest.raises(ValueError, match="repeats key 'count'"):
+            parse_family("# ground=3 count=1 count=2\n0 1\n")
 
 
 class TestSymmetry:

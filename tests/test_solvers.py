@@ -111,15 +111,20 @@ class TestGraphBuild:
             helpers.naive_twin_quotient(adj, by_degree)
 
     @SETTINGS
-    @given(search_families(), st.sampled_from((1, 2, 3, 4)), st.booleans(),
-           st.sampled_from((0, 1, 5)))
-    def test_forced_takes_hold_the_neighbourhood(self, fam, s, nonstar, cap):
+    @given(search_families(), st.sampled_from((1, 2, 3, 4)),
+           st.sampled_from(("plain", "nonstar", "sperner")), st.sampled_from((0, 1, 5)))
+    def test_forced_takes_hold_the_neighbourhood(self, fam, s, mode, cap):
         # every forced take of the maximum, the enumeration and their
-        # certifications is the least candidate whose members meet every
-        # member of the node's other candidates, and the answers are the
-        # subset scan's
-        graph = solvers._compat_quotient(fam, s)
-        rows = helpers.naive_compatibility_rows(fam, s)
+        # certifications is the least candidate whose members are related
+        # to every member of the node's other candidates (they meet in s
+        # elements, or in the Sperner mode at s = 1 form an intersecting
+        # antichain), and the answers are the subset scan's
+        if mode == "sperner":
+            members, quotient_rows = _quotient_of(fam, solvers._sperner_rows, False)
+            rows = helpers.naive_sperner_rows(fam)
+        else:
+            members, quotient_rows = _quotient_of(fam, partial(solvers.meet_rows, s=s), True)
+            rows = helpers.naive_compatibility_rows(fam, s)
         forced_take, takes = solvers._forced_take, []
 
         def recording(adj, cand):
@@ -127,20 +132,26 @@ class TestGraphBuild:
             return takes[-1][2]
 
         with mock.patch.object(solvers, "_forced_take", recording):
-            if nonstar:
+            if mode == "nonstar":
                 maximum = max_nonstar_s_intersecting(fam, s)
                 listed = max_nonstar_s_intersecting(fam, s, Limits(optima_cap=cap),
                                                     enumerate_optima=True)
-            else:
+            elif mode == "plain":
                 maximum = max_s_intersecting(fam, s)
                 listed = enumerate_maximum_s_intersecting(fam, s, Limits(optima_cap=cap))
+            else:
+                maximum = max_intersecting_sperner(fam)
+                listed = max_intersecting_sperner(fam, Limits(optima_cap=cap))
         for adj, cand, took in takes:
-            assert adj == graph.rows
+            assert adj == quotient_rows
             universal = [q for q in elems_of(cand)
                          if all((rows[u] >> x) & 1 for p in elems_of(cand & ~(1 << q))
-                                for u in graph.members[q] for x in graph.members[p])]
+                                for u in members[q] for x in members[p])]
             assert took == (1 << universal[0] if universal else 0)
-        value, optima = helpers.naive_all_max_s_intersecting(fam, s, nonstar)
+        if mode == "sperner":
+            value, optima = helpers.naive_all_max_sperner(fam)
+        else:
+            value, optima = helpers.naive_all_max_s_intersecting(fam, s, mode == "nonstar")
         for res in (maximum, listed):
             assert res.value == value and res.value_exact
             if not optima:
@@ -148,7 +159,9 @@ class TestGraphBuild:
                 continue
             assert res.witness == min(optima)
         if optima:
-            assert maximum.all_optima is None and not maximum.limits_hit
+            # the Sperner search lists its optima in either run
+            full = tuple(sorted(optima)) if mode == "sperner" else None
+            assert maximum.all_optima == full and not maximum.limits_hit
             assert listed.limits_hit == (len(optima) > cap)
             if listed.limits_hit:
                 assert len(listed.all_optima) == cap and set(listed.all_optima) <= optima
@@ -389,6 +402,17 @@ class TestOnePassAgainstSubsetScan:
                 else:
                     assert res.infeasible and res.witness == ()
 
+    def test_sperner_optima(self):
+        for fam in differential_families():
+            value, optima = helpers.naive_all_max_sperner(fam)
+            res = max_intersecting_sperner(fam)
+            assert res.value == value and not res.limits_hit, fam.name
+            assert res.all_optima == tuple(sorted(optima)), fam.name
+            assert res.witness == min(optima)
+            uniform = all(len({fam.sets[i].bit_count() for i in opt}) <= 1 for opt in optima)
+            assert res.uniform_optima == uniform, fam.name
+            assert_cap_semantics(lambda lim: max_intersecting_sperner(fam, lim), optima, True)
+
     def test_triangular_maximum(self):
         for fam in differential_families():
             for s in (1, 2):
@@ -607,17 +631,40 @@ class TestNodeCounts:
         (lambda f: max_nonstar_s_intersecting(f, 1, enumerate_optima=True),
          lambda: path_family(make_cycle(14), 7), 7, 254),
         (max_intersecting_sperner,
-         lambda: to_setfamily(enumerate_paths_all(make_sun(6, 1))), 22, 1017),
+         lambda: to_setfamily(enumerate_paths_all(make_sun(6, 1))), 22, 759),
     ], ids=["max-sun-14-3", "enum-sun-14-3", "nonstar-sun-10-2", "nonstar-enum-cycle-14",
             "sperner-sun-6-1"])
     def test_without_the_group(self, solve, fam, value, nodes):
         # the searches with the group and the pendant swaps take 202, 30,
-        # 62, 40 and 289 nodes; these bound the group-free loops (5,416,
+        # 62, 40 and 253 nodes; these bound the group-free loops (5,416,
         # 4,709, 3,138 and 254 nodes for the first four when only
-        # contained members were forced)
+        # contained members were forced, and 1,017 for the Sperner search
+        # before it took forced takes)
         res = solve(replace(fam(), symmetry=(), swaps=()))
         assert res.value == value and res.value_exact and not res.limits_hit
         assert res.nodes <= nodes
+
+    @pytest.mark.parametrize("host, r, s, value, nodes, uncapped", [
+        (lambda: make_theta((6, 6, 6, 6)), 7, 1, 22, 4185, 5342),
+        (lambda: make_sun(9, 3), 6, 2, 48, 518, 163),
+    ], ids=["theta-6-6-6-6", "sun-9-3"])
+    def test_capped_nonstar_enumeration(self, host, r, s, value, nodes, uncapped):
+        # exact: 255,141 and 40,594 nodes when a capped closing pass handed
+        # over mid-search to a group-free pass that proved the maximum
+        # again; now the closing pass ends under the group, and the sample
+        # pass starts at the proven value
+        fam = path_family(host(), r)
+        full = max_nonstar_s_intersecting(fam, s, enumerate_optima=True)
+        assert (full.value, full.nodes) == (value, uncapped) and not full.limits_hit
+        res = max_nonstar_s_intersecting(fam, s, Limits(optima_cap=1), enumerate_optima=True)
+        assert res.limits_hit and res.value_exact and len(res.all_optima) == 1
+        assert (res.value, res.witness, res.nodes) == (full.value, full.witness, nodes)
+
+    def test_sperner_on_all_paths_of_sun_8_1(self):
+        # exact: 1,402 nodes without forced takes
+        res = max_intersecting_sperner(to_setfamily(enumerate_paths_all(make_sun(8, 1))))
+        assert (res.value, res.nodes) == (37, 1075)
+        assert res.value_exact and not res.limits_hit
 
     def test_triangular_of_pg7(self):
         # 547,799 nodes without the collineation group, 1,722,693 also
