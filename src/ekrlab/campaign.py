@@ -17,6 +17,7 @@ import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from math import inf
 
 from . import __version__
 from .graphs import Graph, GraphError, make_graph
@@ -205,10 +206,78 @@ CSV_COLUMNS = (
 )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(x) -> str | None:
+    """x as json writes it when x is a str, None, a bool, an int or a
+    float; None otherwise."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == inf:
+            return "Infinity"
+        if x == -inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a scalar's text, quoted."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _encode_str(text)
+
+
+def _json(obj, nl: str) -> str:
+    """obj as json.dumps writes it with indent 2, at the nesting whose
+    line break and indent is nl.  The types json takes are disjoint
+    apart from bool, an int, so the order of the tests does not change
+    the text.  Plain int items and str keys, most of a report's tokens,
+    are written without a call."""
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [int.__repr__(x) if type(x) is int else _json(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [(_encode_str(key) if type(key) is str else _key_text(key)) + ": "
+             + (int.__repr__(val) if type(val) is int else _json(val, inner))
+             for key, val in obj.items()]) + nl + "}"
+    text = _scalar_text(obj)
+    if text is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return text
+
+
+def to_json(obj) -> str:
+    """json.dumps(obj, indent=2) and a newline, byte for byte, with one
+    join per container.  With an indent the standard library runs its
+    pure-Python encoder, which yields every token through a chain of
+    generators."""
+    return _json(obj, "\n") + "\n"
+
+
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Serialize a campaign report with a stable field order."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return to_json(report)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore",

@@ -4,10 +4,10 @@ solvers, and launch verdict campaigns."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import campaign as campaign_mod
+from .campaign import to_json
 from .families import emit_family, parse_family
 from .graphs import GraphError, ParseError, emit_graph, make_cycle, make_graph, \
     parse_graph
@@ -73,8 +73,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         res = max_intersecting_sperner(fam, limits)
     elif args.op == "helly":
         ok, counterexample = helly_triple_check(fam)
-        _write(json.dumps({"helly": ok, "counterexample": counterexample},
-                          indent=2) + "\n", args.out)
+        _write(to_json({"helly": ok, "counterexample": counterexample}), args.out)
         return 0
     else:
         raise ValueError(f"unknown op {args.op!r}")
@@ -93,7 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }
     if res.uniform_optima is not None:
         payload["uniform_optima"] = res.uniform_optima
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(to_json(payload), args.out)
     return EXIT_LIMITS if res.limits_hit else EXIT_CLEAN
 
 
@@ -111,7 +110,7 @@ def _cmd_check_hm(args: argparse.Namespace) -> int:
 
 def _emit_verdict(verdict: Verdict, out: str | None) -> int:
     """Write the verdict as JSON and exit with its exit code."""
-    _write(json.dumps(verdict.to_dict(), indent=2) + "\n", out)
+    _write(to_json(verdict.to_dict()), out)
     return verdict.exit_code
 
 

@@ -300,6 +300,13 @@ def is_s_star(fam: SetFamily, s: int) -> StarCheck:
     return StarCheck(is_star=common.bit_count() >= s, common=common, empty_family=False)
 
 
+def _header_int(fields: dict[str, str], key: str) -> int:
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(f"family header needs an integer, got '{key}={fields[key]}'") from None
+
+
 def parse_family(text: str) -> SetFamily:
     """Read the '# ground=n count=m' + one-set-per-line text format."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -316,16 +323,19 @@ def parse_family(text: str) -> SetFamily:
     for key in ("ground", "count"):
         if key not in fields:
             raise ValueError(f"family header lacks '{key}='")
-    ground = int(fields["ground"])
+    ground = _header_int(fields, "ground")
     if ground < 0:
         raise ValueError(f"family header needs ground >= 0, got 'ground={ground}'")
-    count = int(fields["count"])
+    count = _header_int(fields, "count")
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"expected {count} sets, found {len(body)}")
     masks = []
     for ln in body:
-        elems = [int(x) for x in ln.split()]
+        try:
+            elems = [int(x) for x in ln.split()]
+        except ValueError:
+            raise ValueError(f"set line holds a non-integer element: {ln!r}") from None
         if elems != sorted(elems):
             raise ValueError(f"set line not ascending: {ln!r}")
         if len(set(elems)) < len(elems):

@@ -17,7 +17,7 @@ from operator import and_
 
 from . import oracles
 from .families import SetFamily, best_full_star, elems_of, is_s_intersecting, \
-    is_s_star, mask_of
+    is_s_star
 from .graphs import Graph, GraphError
 from .oracles import OracleValue
 from .paths import enumerate_paths_all, enumerate_paths_r, enumerate_paths_upto, \
@@ -99,26 +99,38 @@ def build_family(g: Graph, mode: str, size: int | None) -> SetFamily:
 
 @lru_cache(maxsize=1)
 def _hm_table(n: int, r: int) -> tuple[dict[int, int], frozenset[int]]:
-    """Window mask -> window start, and the start masks of every
-    three-anchor family.  cover[a] holds the starts whose window contains
-    vertex a, so the windows meeting anchors a, b, c in exactly two
-    vertices are the starts covered twice but not three times."""
-    windows: dict[int, int] = {}
-    cover = [0] * n
-    for y in range(n):
-        windows[mask_of((y + d) % n for d in range(r))] = y
-        for d in range(r):
-            cover[(y + d) % n] |= 1 << y
+    """Window mask -> window start, and the start masks of the
+    three-anchor families with an anchor at vertex 0, from C(n-1, 2)
+    anchor pairs.  The starts whose window contains vertex a are
+    a - r + 1, ..., a, so cover[a] is the mask of window a - r + 1, and
+    the windows meeting anchors 0, b, c in exactly two vertices are the
+    starts covered twice but not three times."""
+    full = (1 << n) - 1
+    window = [((1 << r) - 1) << y for y in range(n)]
+    window = [(w | w >> n) & full for w in window]
+    cover = [window[(a - r + 1) % n] for a in range(n)]
+    c0 = cover[0]
     families = set()
-    for a, b, c in combinations(range(n), 3):
-        ca, cb, cc = cover[a], cover[b], cover[c]
-        families.add((ca & cb | ca & cc | cb & cc) & ~(ca & cb & cc))
-    return windows, frozenset(families)
+    for b, c in combinations(range(1, n), 2):
+        cb, cc = cover[b], cover[c]
+        families.add((c0 & cb | c0 & cc | cb & cc) & ~(c0 & cb & cc))
+    return {w: y for y, w in enumerate(window)}, frozenset(families)
 
 
 def matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
     """Does the family equal, for some 3 cycle vertices, the set of all
-    r-windows meeting them in exactly two vertices?"""
+    r-windows meeting them in exactly two vertices?
+
+    The family is read as the mask S of its window starts.  Turning the
+    cycle by c maps the family of anchors A to that of A - c, and S to
+    S - c, so S belongs to anchors A with c in A exactly when S - c is
+    in the table of anchors at 0.  Which c to try: take a start y0 in
+    S with y0 - 1 not in S.  Window y0 is window y0 - 1 without vertex
+    y0 - 1 and with vertex y0 + r - 1 (distinct, as r < n), and its
+    count of anchors goes from not 2 to 2, so exactly one of those two
+    vertices is an anchor; turning each onto 0 covers every A.  An S
+    with no such start is empty or holds all n starts, so every turn
+    leaves it as it is and one lookup stands for all n."""
     windows, families = _hm_table(n, r)
     starts = 0
     for mask in member_masks:
@@ -126,7 +138,15 @@ def matches_hm_structure(n: int, r: int, member_masks: list[int]) -> bool:
         if y is None or (starts >> y) & 1:
             return False
         starts |= 1 << y
-    return starts in families
+    left_ends = starts & ~(starts << 1 | starts >> (n - 1))
+    if not left_ends:
+        return starts in families
+    y0 = (left_ends & -left_ends).bit_length() - 1
+    full = (1 << n) - 1
+    for c in ((y0 + r - 1) % n, (y0 - 1) % n):
+        if (starts >> c | starts << (n - c)) & full in families:
+            return True
+    return False
 
 
 def _sun_params(g: Graph) -> tuple[int, int] | None:

@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab import campaign, graphs, verdicts
-from ekrlab.campaign import CampaignConfig, emit_report, parse_config, run_campaign
+from ekrlab.campaign import CampaignConfig, emit_report, parse_config, run_campaign, \
+    to_json
 from ekrlab.cli import main
 from ekrlab.families import parse_family
 from ekrlab.graphs import parse_graph
@@ -239,6 +242,42 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report({}, "xml")
+
+
+# str keys with escapes and non-ASCII text, and every scalar json takes
+_KEYS = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€😀'), max_size=4)
+_SCALARS = st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | _KEYS \
+    | st.floats(allow_nan=True, allow_infinity=True) \
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=30)
+
+
+class TestToJson:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(_VALUES)
+    def test_equals_the_indented_dumps(self, obj):
+        assert to_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats() | _KEYS,
+                           _SCALARS, max_size=5))
+    def test_keys_that_are_not_str(self, obj):
+        assert to_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_a_campaign_report(self):
+        report = run_campaign(CampaignConfig(kind="sun", n=[6, 7], t=[1, 2], s=[1, 2]))
+        assert report["verdicts"] and report["skipped"]
+        assert emit_report(report, "json") == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{1, 2}, [b"x"], {"a": object()}, {(1, 2): 3},
+                                     {frozenset(): 1}])
+    def test_rejects_what_json_rejects(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            to_json(obj)
 
 
 class TestCli:

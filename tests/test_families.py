@@ -191,6 +191,12 @@ class TestTextFormat:
             parse_family("# ground=-1 count=0\n")
         with pytest.raises(ValueError, match="repeats key 'count'"):
             parse_family("# ground=3 count=1 count=2\n0 1\n")
+        with pytest.raises(ValueError, match="'ground=x'"):
+            parse_family("# ground=x count=1\n0\n")
+        with pytest.raises(ValueError, match="'count=1.5'"):
+            parse_family("# ground=3 count=1.5\n0\n")
+        with pytest.raises(ValueError, match="non-integer element: '0 a'"):
+            parse_family("# ground=3 count=1\n0 a\n")
 
 
 class TestSymmetry:

@@ -9,8 +9,8 @@ from ekrlab.graphs import GraphError, make_cycle, make_graph, make_random_tree, 
     make_sun, make_theta
 from ekrlab.solvers import Limits
 from ekrlab.solvers import enumerate_maximum_s_intersecting
-from ekrlab.verdicts import build_family, check_ekr, check_hm, matches_hm_structure, \
-    star_flags_of
+from ekrlab.verdicts import _hm_table, build_family, check_ekr, check_hm, \
+    matches_hm_structure, star_flags_of
 
 
 class TestCheckEkr:
@@ -289,20 +289,46 @@ class TestHmStructureMatcher:
         assert not matches_hm_structure(12, 5, [mask_of(range(5))])
 
     def test_lookup_agrees_with_anchor_scan(self):
+        # every r on the small cycles; on the larger ones the ends of the
+        # r range and check_hm's window, with mutants of a sample of the
+        # families there
         rng = random.Random(11)
-        for n in range(6, 17):
-            for r in range(1, n):
-                windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
-                not_window = mask_of(range(r + 1))
-                cases = set()
-                for fam in helpers.naive_hm_families(n, r):
-                    cases.add(fam)
-                    cases.update(fam[:i] + fam[i + 1:] for i in range(len(fam)))
-                    # adding a window of the family makes a duplicate
-                    cases.update(fam + (w,) for w in windows)
-                    cases.add(fam + (not_window,))
-                cases.update(tuple(rng.sample(windows, rng.randint(0, n)))
-                             for _ in range(40))
-                for case in cases:
-                    assert matches_hm_structure(n, r, list(case)) == \
-                        helpers.naive_matches_hm_structure(n, r, list(case)), (n, r, case)
+        grid = [(n, r) for n in range(6, 17) for r in range(1, n)]
+        grid += [(n, r) for n in range(17, 31) for r in sorted({1, 2, n // 3, n // 2, n - 1})]
+        for n, r in grid:
+            windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
+            not_window = mask_of(range(r + 1))
+            families = helpers.naive_hm_families(n, r)
+            cases = set(families)
+            sample = families if n <= 16 else rng.sample(sorted(families), min(20, len(families)))
+            for fam in sample:
+                cases.update(fam[:i] + fam[i + 1:] for i in range(len(fam)))
+                # adding a window of the family makes a duplicate
+                cases.update(fam + (w,) for w in windows)
+                cases.add(fam + (not_window,))
+            cases.update(tuple(rng.sample(windows, rng.randint(0, n)))
+                         for _ in range(40 if n <= 16 else 200))
+            for case in cases:
+                assert matches_hm_structure(n, r, list(case)) == \
+                    helpers.naive_matches_hm_structure(n, r, list(case)), (n, r, case)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 25, 30])
+    def test_no_start_and_every_start(self, n):
+        # the two start masks with no start whose left neighbour is
+        # missing, so the lookup takes them as they are
+        for r in range(1, n):
+            windows = [mask_of((y + d) % n for d in range(r)) for y in range(n)]
+            for case in ([], windows, windows[::-1]):
+                assert matches_hm_structure(n, r, case) == \
+                    helpers.naive_matches_hm_structure(n, r, case), (n, r, len(case))
+
+    def test_table_holds_the_families_anchored_at_0(self):
+        for n, r in ((10, 4), (17, 1), (26, 12), (30, 15)):
+            windows, families = _hm_table(n, r)
+            assert len(windows) == n
+            anchored = set()
+            for b, c in combinations(range(1, n), 2):
+                anchors = mask_of((0, b, c))
+                anchored.add(mask_of(windows[w] for w in windows
+                                     if (w & anchors).bit_count() == 2))
+            assert families == anchored
